@@ -125,12 +125,10 @@ void BM_ShardedStepKernelBackend(benchmark::State& state,
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
   // Profiling provenance (kept on the kernel rows HISTORY.jsonl compares):
-  // whether this host granted hardware counters, whether the build compiled
-  // the gather/decide/fault/commit sub-phase markers in, and whether an
+  // whether this host granted hardware counters, and whether an
   // introspection exporter was serving scrapes while the rows were timed.
   state.counters["pmu_available"] =
       profile::thread_counters().available() ? 1.0 : 0.0;
-  state.counters["subphase_markers"] = telemetry::kCompiledIn ? 1.0 : 0.0;
   state.counters["exporter_active"] = obs::exporter_active() ? 1.0 : 0.0;
 }
 BENCHMARK_CAPTURE(BM_ShardedStepKernelBackend, legacy,

@@ -123,12 +123,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Sub-phase markers exist when the probes are compiled in AND the backend
-  // actually ran the word-parallel kernel (the legacy loop has none).
-  const auto has_markers = [](const BackendProfile& p) {
-    return telemetry::kCompiledIn && p.backend != kernel::Backend::kLegacy;
-  };
-
   JsonReporter reporter("profile");
   reporter.set_seed(seed);
   reporter.set_quick(options.quick);
@@ -143,7 +137,6 @@ int main(int argc, char** argv) {
     pmu_info.set("unavailable_reason", JsonValue(counters.unavailable_reason()));
   }
   pmu_info.set("counters_open", JsonValue(counters.counters_open()));
-  pmu_info.set("subphase_markers", JsonValue(telemetry::kCompiledIn));
   pmu_info.set("sampling_active", JsonValue(flight_recorder.sampling_active()));
   pmu_info.set("exporter_active", JsonValue(flight_recorder.exporter_active()));
   reporter.set_extra("pmu", std::move(pmu_info));
@@ -153,7 +146,6 @@ int main(int argc, char** argv) {
     JsonValue row = JsonValue::object();
     row.set("backend", JsonValue(kernel::backend_name(p.backend)));
     row.set("pmu_available", JsonValue(pmu_available));
-    row.set("subphase_markers", JsonValue(has_markers(p)));
     row.set("seconds", JsonValue(p.seconds));
     row.set("agent_steps", JsonValue(p.agent_steps));
     row.set("agent_steps_per_second",
@@ -174,8 +166,9 @@ int main(int argc, char** argv) {
     if (p.total.multiplexed) total.set("multiplexed", JsonValue(true));
     row.set("run_total", std::move(total));
 
-    // The gather/fault/decide/commit split (telemetry builds, kernel rows).
-    if (has_markers(p)) {
+    // The gather/fault/decide/commit split (the legacy loop has no
+    // sub-phase markers).
+    if (p.backend != kernel::Backend::kLegacy) {
       double kernel_wall = 0.0;
       for (const telemetry::Phase phase : kSubPhases) {
         kernel_wall += p.phases.total_seconds(phase);
@@ -243,15 +236,14 @@ int main(int argc, char** argv) {
 
   std::cout << "bench_profile (n=" << n << ", l=" << ell
             << ", rounds=" << rounds << ", pmu="
-            << (pmu_available ? "available" : "fallback") << ", markers="
-            << (telemetry::kCompiledIn ? "on" : "off") << ")\n";
+            << (pmu_available ? "available" : "fallback") << ")\n";
   for (const BackendProfile& p : profiles) {
     std::printf("  %-12s %8.3f M agent-steps/s\n",
                 kernel::backend_name(p.backend),
                 p.seconds > 0.0
                     ? static_cast<double>(p.agent_steps) / p.seconds / 1e6
                     : 0.0);
-    if (!has_markers(p)) continue;
+    if (p.backend == kernel::Backend::kLegacy) continue;
     double kernel_wall = 0.0;
     for (const telemetry::Phase phase : kSubPhases) {
       kernel_wall += p.phases.total_seconds(phase);

@@ -21,10 +21,8 @@ struct AgentPopulationStepper {
   void step(std::uint64_t /*tick*/) {
     engine.step(population, rng);
     state = population.config();
-    if constexpr (telemetry::kCompiledIn) {
-      samples += (state.n - state.sources) *
-                 engine.protocol().sample_size(state.n);
-    }
+    samples += (state.n - state.sources) *
+               engine.protocol().sample_size(state.n);
   }
   std::uint64_t samples_drawn() const noexcept { return samples; }
 };
@@ -44,10 +42,8 @@ struct AgentFaultyStepper {
   Configuration& config() noexcept { return state; }
   void step(std::uint64_t /*tick*/) {
     engine.step_faulty(population, session, rng);
-    if constexpr (telemetry::kCompiledIn) {
-      samples += session.free_agents() *
-                 engine.protocol().sample_size(state.n);
-    }
+    samples += session.free_agents() *
+               engine.protocol().sample_size(state.n);
   }
   void sync_flip() {
     // Mirror the flip onto the explicit state: sources display the new
@@ -69,7 +65,7 @@ struct AgentFaultyStepper {
         if (session.is_zealot(i)) continue;
         if (rng.bernoulli(model.churn_rate)) {
           population.views[i] = engine.protocol().initial_view(wrong);
-          if constexpr (telemetry::kCompiledIn) ++churn_events;
+          ++churn_events;
         }
       }
     }
@@ -92,9 +88,7 @@ struct AgentActivationStepper {
     state.ones = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(state.ones) +
         engine.activate(population, rng));
-    if constexpr (telemetry::kCompiledIn) {
-      samples += engine.protocol().sample_size(state.n);
-    }
+    samples += engine.protocol().sample_size(state.n);
   }
   std::uint64_t samples_drawn() const noexcept { return samples; }
 };

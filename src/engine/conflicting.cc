@@ -37,7 +37,7 @@ struct WatchStepper {
                                       : state.free_zeros();
     if (2 * aligned > free_total) ++tracking;
     if (10 * aligned >= 9 * free_total) ++near;
-    if constexpr (telemetry::kCompiledIn) samples += free_total * ell;
+    samples += free_total * ell;
   }
   std::optional<StopReason> evaluate(const StopRule& /*rule*/) const {
     return std::nullopt;

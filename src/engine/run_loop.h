@@ -31,6 +31,11 @@
 //                                   // the stepper (otherwise the session's
 //                                   // counts-level tally is used)
 //
+// Probes. At run start the driver checks whether any probe sink is
+// installed (phase, trace recorder, round sink, PMU). If none is, it runs
+// drive<false>: the same loop body with every driver-side probe — phase
+// timers, PMU scopes, the round stream — removed by `if constexpr`.
+//
 // The driver NEVER draws randomness: steppers own their Rng or SeedSequence,
 // so the per-(round, block) stream schedule of the sharded engine — and with
 // it bit-identical thread/shard invariance — survives unchanged, and the
@@ -84,6 +89,26 @@ inline constexpr bool kCheckpointable =
       { live.restore(state) } -> std::convertible_to<bool>;
     };
 
+// One driver phase's probes: a wall-clock ScopedTimer beside a PmuScope in
+// the probed loop, an empty object in the probe-free one.
+template <bool kProbed>
+class PhaseProbe {
+ public:
+  PhaseProbe(telemetry::Phase phase, profile::PmuPhaseStats* pmu) noexcept
+      : timer_(phase), pmu_(phase, pmu) {}
+
+ private:
+  telemetry::ScopedTimer timer_;
+  profile::PmuScope pmu_;
+};
+
+template <>
+class PhaseProbe<false> {
+ public:
+  PhaseProbe(telemetry::Phase /*phase*/,
+             profile::PmuPhaseStats* /*pmu*/) noexcept {}
+};
+
 }  // namespace internal
 
 // How an engine's native tick relates to parallel rounds and to the time
@@ -124,7 +149,7 @@ class RunDriver {
   template <typename Stepper>
   RunResult run(Stepper& stepper, const StopRule& rule,
                 Trajectory* trajectory = nullptr) const {
-    return drive(stepper, rule, nullptr, trajectory);
+    return start(stepper, rule, nullptr, trajectory);
   }
 
   // Faulty run: the driver owns the FaultSession lifecycle — source flips on
@@ -135,10 +160,23 @@ class RunDriver {
   template <typename Stepper>
   RunResult run(Stepper& stepper, const StopRule& rule, FaultSession& session,
                 Trajectory* trajectory = nullptr) const {
-    return drive(stepper, rule, &session, trajectory);
+    return start(stepper, rule, &session, trajectory);
   }
 
  private:
+  // The probe gate, decided once per run: sink installation must not race a
+  // running engine, so the choice holds for the whole run.
+  template <typename Stepper>
+  RunResult start(Stepper& stepper, const StopRule& rule,
+                  FaultSession* session, Trajectory* trajectory) const {
+    const bool probed = telemetry::phase_sink() != nullptr ||
+                        telemetry::trace_recorder() != nullptr ||
+                        telemetry::round_sink() != nullptr ||
+                        profile::pmu_sink() != nullptr;
+    return probed ? drive<true>(stepper, rule, session, trajectory)
+                  : drive<false>(stepper, rule, session, trajectory);
+  }
+
   // Assembles the full RunSnapshot at a parallel-round boundary. Capture
   // never mutates run state — a run with checkpointing enabled produces the
   // same payload as one without (the golden digests pin this).
@@ -170,16 +208,14 @@ class RunDriver {
     return snap;
   }
 
-  template <typename Stepper>
+  template <bool kProbed, typename Stepper>
   RunResult drive(Stepper& stepper, const StopRule& rule,
                   FaultSession* session, Trajectory* trajectory) const {
+    using Probe = internal::PhaseProbe<kProbed>;
     RunResult result;
     result.unit = policy_.unit;
     result.alpha = policy_.alpha;
-    std::uint64_t start_ns = 0;
-    if constexpr (telemetry::kCompiledIn) {
-      start_ns = telemetry::clock_now_ns();
-    }
+    const std::uint64_t start_ns = telemetry::clock_now_ns();
     const std::uint64_t tpr =
         policy_.ticks_per_round == 0 ? 1 : policy_.ticks_per_round;
     const std::uint64_t max_ticks = rule.max_rounds * tpr;
@@ -221,15 +257,14 @@ class RunDriver {
     if (!resumed) {
       const Configuration& config = stepper.config();
       if (trajectory != nullptr) trajectory->record(0, config.ones);
-      telemetry::record_round(0, config.ones, config.n);
+      if constexpr (kProbed) telemetry::record_round(0, config.ones, config.n);
       if (session != nullptr) session->observe(0, config);
     }
 
-    // Resolved once per run: sink installation must not race a running
-    // engine (the install_pmu_sink contract), and the tightest tick loops
-    // (aggregate rounds are ~250 ns) construct four PmuScopes per tick —
-    // per-scope atomic loads would be measurable there.
-    profile::PmuPhaseStats* const pmu_stats = profile::pmu_sink();
+    // Resolved once per run, like the probe gate: the tightest tick loops
+    // (aggregate rounds are ~250 ns) open up to four probes per tick.
+    profile::PmuPhaseStats* const pmu_stats =
+        kProbed ? profile::pmu_sink() : nullptr;
 
     // Live-progress publisher (obs/progress.h), resolved once like the PMU
     // sink. With no board installed (no --listen) this is a null check per
@@ -266,16 +301,14 @@ class RunDriver {
       // Source flips land on entry to a parallel round.
       if (session != nullptr && tick % tpr == 0 &&
           session->flip_due(tick / tpr)) {
-        const telemetry::ScopedTimer timer(telemetry::Phase::kFaultApply);
-        const profile::PmuScope pmu(telemetry::Phase::kFaultApply, pmu_stats);
+        const Probe probe(telemetry::Phase::kFaultApply, pmu_stats);
         session->apply_flip(tick / tpr, stepper.config());
         if constexpr (requires { stepper.sync_flip(); }) {
           stepper.sync_flip();
         }
       }
       {
-        const telemetry::ScopedTimer timer(telemetry::Phase::kStopCheck);
-        const profile::PmuScope pmu(telemetry::Phase::kStopCheck, pmu_stats);
+        const Probe probe(telemetry::Phase::kStopCheck, pmu_stats);
         std::optional<StopReason> reason;
         if constexpr (requires { stepper.evaluate(rule); }) {
           reason = stepper.evaluate(rule);
@@ -298,16 +331,14 @@ class RunDriver {
         // The PMU scope counts the driver thread: exact for single-threaded
         // steppers; under pool fan-out the workers' kernel sub-phase probes
         // carry the worker-side attribution.
-        const telemetry::ScopedTimer timer(telemetry::Phase::kRoundStep);
-        const profile::PmuScope pmu(telemetry::Phase::kRoundStep, pmu_stats);
+        const Probe probe(telemetry::Phase::kRoundStep, pmu_stats);
         stepper.step(tick);
       }
       ++tick;
       if (tick % tpr == 0) {
         const std::uint64_t round = tick / tpr;
         if (session != nullptr) {
-          const telemetry::ScopedTimer timer(telemetry::Phase::kFaultApply);
-          const profile::PmuScope pmu(telemetry::Phase::kFaultApply, pmu_stats);
+          const Probe probe(telemetry::Phase::kFaultApply, pmu_stats);
           if constexpr (requires { stepper.end_round(round); }) {
             stepper.end_round(round);
           }
@@ -317,7 +348,9 @@ class RunDriver {
         }
         const Configuration& config = stepper.config();
         if (trajectory != nullptr) trajectory->record(round, config.ones);
-        telemetry::record_round(round, config.ones, config.n);
+        if constexpr (kProbed) {
+          telemetry::record_round(round, config.ones, config.n);
+        }
         progress.on_round(round, config.ones, config.n, session);
         // Periodic checkpoint, after the round is fully recorded so the
         // snapshot's trajectory and stream offsets include it.
@@ -338,24 +371,21 @@ class RunDriver {
     result.ticks = tick * policy_.units_per_tick;
     result.final_config = config;
     if (session != nullptr) result.recoveries = session->take_recoveries();
-    if constexpr (telemetry::kCompiledIn) {
-      result.telemetry.recorded = true;
-      result.telemetry.wall_seconds =
-          static_cast<double>(telemetry::clock_now_ns() - start_ns) * 1e-9;
-      result.telemetry.rounds = tick / tpr;
-      if constexpr (requires { stepper.samples_drawn(); }) {
-        result.telemetry.samples_drawn = stepper.samples_drawn();
+    result.telemetry.wall_seconds =
+        static_cast<double>(telemetry::clock_now_ns() - start_ns) * 1e-9;
+    result.telemetry.rounds = tick / tpr;
+    if constexpr (requires { stepper.samples_drawn(); }) {
+      result.telemetry.samples_drawn = stepper.samples_drawn();
+    }
+    if (session != nullptr) {
+      result.telemetry.fault_flips = session->flips_applied();
+      result.telemetry.fault_zealots = session->zealots();
+      if constexpr (requires { stepper.churned(); }) {
+        result.telemetry.fault_churned = stepper.churned();
+      } else {
+        result.telemetry.fault_churned = session->churned();
       }
-      if (session != nullptr) {
-        result.telemetry.fault_flips = session->flips_applied();
-        result.telemetry.fault_zealots = session->zealots();
-        if constexpr (requires { stepper.churned(); }) {
-          result.telemetry.fault_churned = stepper.churned();
-        } else {
-          result.telemetry.fault_churned = session->churned();
-        }
-        fold_recovery_telemetry(result.telemetry, result.recoveries);
-      }
+      fold_recovery_telemetry(result.telemetry, result.recoveries);
     }
     return result;
   }

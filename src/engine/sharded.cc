@@ -115,9 +115,7 @@ struct ShardedStepper {
   void step(std::uint64_t tick) {
     engine.step(population, tick, seeds);
     state = population.config();
-    if constexpr (telemetry::kCompiledIn) {
-      samples += (state.n - state.sources) * engine.sample_size(state.n);
-    }
+    samples += (state.n - state.sources) * engine.sample_size(state.n);
   }
   std::uint64_t samples_drawn() const noexcept { return samples; }
 
@@ -165,10 +163,8 @@ struct ShardedFaultyStepper {
   Configuration& config() noexcept { return state; }
   void step(std::uint64_t tick) {
     engine.step(population, tick, seeds, session);
-    if constexpr (telemetry::kCompiledIn) {
-      churn_events += population.last_step_churned();
-      samples += session.free_agents() * engine.sample_size(state.n);
-    }
+    churn_events += population.last_step_churned();
+    samples += session.free_agents() * engine.sample_size(state.n);
     state = population.config();
   }
   void sync_flip() {
@@ -438,7 +434,7 @@ void ShardedAgentEngine::process_block_faulty(Population& population,
           if (protocol_ != nullptr) {
             population.states_[i] = protocol_->initial_view(wrong).state;
           }
-          if constexpr (telemetry::kCompiledIn) ++block_churned;
+          ++block_churned;
         }
       }
       out |= value << bit;
@@ -447,11 +443,7 @@ void ShardedAgentEngine::process_block_faulty(Population& population,
     block_ones += static_cast<std::uint64_t>(std::popcount(out));
   }
   population.block_ones_[block] = block_ones;
-  if constexpr (telemetry::kCompiledIn) {
-    population.block_churned_[block] = block_churned;
-  } else {
-    (void)block_churned;
-  }
+  population.block_churned_[block] = block_churned;
 }
 
 void ShardedAgentEngine::build_gtable(Population& population,
@@ -565,9 +557,7 @@ void ShardedAgentEngine::process_block_kernel(
   args.index_scratch = index_scratch;
   args.out_ones = &population.block_ones_[block];
   args.out_churned = nullptr;
-  if constexpr (telemetry::kCompiledIn) {
-    if (plan.faulty) args.out_churned = &population.block_churned_[block];
-  }
+  if (plan.faulty) args.out_churned = &population.block_churned_[block];
   plan.fn(args);
 }
 
@@ -677,9 +667,7 @@ void ShardedAgentEngine::step(Population& population, std::uint64_t round,
     }
   }
   population.block_ones_.resize(blocks);
-  if constexpr (telemetry::kCompiledIn) {
-    population.block_churned_.assign(blocks, 0);
-  }
+  population.block_churned_.assign(blocks, 0);
 
   std::uint64_t chunks =
       options_.shards == 0 ? blocks

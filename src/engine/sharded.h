@@ -120,8 +120,7 @@ class ShardedAgentEngine {
     // Re-targets the correct opinion (source flips mirror through here).
     void set_correct(Opinion correct) noexcept { correct_ = correct; }
 
-    // Churn replacements performed by the most recent faulty step (telemetry
-    // builds only; always 0 otherwise).
+    // Churn replacements performed by the most recent faulty step.
     std::uint64_t last_step_churned() const noexcept;
 
     // --- Snapshot accessors (snapshot/state.h) ----------------------
@@ -157,8 +156,8 @@ class ShardedAgentEngine {
 
     // Reusable round scratch (resized once, then allocation-free).
     std::vector<std::uint64_t> block_ones_;
-    // Churn replacements per block, filled only in telemetry builds (each
-    // block is written by exactly one worker, so no atomics are needed).
+    // Churn replacements per block (each block is written by exactly one
+    // worker, so no atomics are needed).
     std::vector<std::uint64_t> block_churned_;
     std::vector<double> gtable_;
     std::vector<FloydSampler> samplers_;

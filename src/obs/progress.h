@@ -23,9 +23,9 @@
 //    stores. The stride adapts toward ~10 publishes/sec, so a 40 ns
 //    aggregate round and a 100 ms population round both pay ~nothing.
 //
-// Unlike the telemetry sinks this layer is NOT gated on BITSPREAD_TELEMETRY:
-// progress is how an operator watches a default-build run too, and a dozen
-// relaxed stores per publish window need no compile-time switch.
+// Unlike the telemetry sinks this layer is NOT part of RunDriver's probe
+// gate: progress is how an operator watches a probe-free run too, and a
+// dozen relaxed stores per publish window need no switch.
 #ifndef BITSPREAD_OBS_PROGRESS_H_
 #define BITSPREAD_OBS_PROGRESS_H_
 

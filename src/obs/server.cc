@@ -90,7 +90,6 @@ JsonValue progress_json(const MetricsSnapshot& snapshot) {
   JsonValue doc = JsonValue::object();
   doc.set("schema", JsonValue("bitspread-progress/1"));
   doc.set("captured_ns", JsonValue(snapshot.captured_ns));
-  doc.set("telemetry_compiled_in", JsonValue(snapshot.telemetry_compiled_in));
   doc.set("runs_started", JsonValue(snapshot.runs_started));
   doc.set("runs_finished", JsonValue(snapshot.runs_finished));
   JsonValue runs = JsonValue::array();
@@ -384,7 +383,6 @@ void IntrospectionServer::handle_connection(int fd) {
                                           start_ns_) *
                       1e-9));
     doc.set("scrapes", JsonValue(scrapes_.load(std::memory_order_relaxed)));
-    doc.set("telemetry_compiled_in", JsonValue(telemetry::kCompiledIn));
     doc.set("stream_available", JsonValue(options_.hub != nullptr));
     doc.set("runs_active", JsonValue(active));
     doc.set("runs_started", JsonValue(snapshot.runs_started));

@@ -18,6 +18,22 @@ PmuPhaseStats* pmu_sink() noexcept {
   return g_pmu_sink.load(std::memory_order_relaxed);
 }
 
+void KernelBlockProfiler::mark(bool opening, telemetry::Phase next) noexcept {
+  const std::uint64_t now_ns = telemetry::clock_now_ns();
+  CounterSnapshot now;
+  if (set_ != nullptr) set_->read(now);
+  if (open_) {
+    if (phases_ != nullptr) phases_->add(current_, now_ns - last_ns_);
+    if (pmu_ != nullptr && set_ != nullptr) {
+      pmu_->add(current_, set_->delta(last_, now));
+    }
+  }
+  open_ = opening;
+  current_ = next;
+  last_ns_ = now_ns;
+  last_ = now;
+}
+
 JsonValue pmu_stats_to_json(const PmuPhaseStats& stats, bool pmu_available,
                             const char* unavailable_reason) {
   JsonValue root = JsonValue::object();

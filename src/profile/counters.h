@@ -7,17 +7,13 @@
 // LLC-miss-per-agent-step for exactly the regions the wall-clock probes
 // already name.
 //
-// The probes obey the same two-gate discipline as ScopedTimer
-// (telemetry/telemetry.h):
-//
-//  1. *Compile time.* PmuScope / KernelBlockProfiler are empty objects
-//     without -DBITSPREAD_TELEMETRY; the default build's hot paths are
-//     untouched.
-//  2. *Run time.* Compiled-in probes are dormant until install_pmu_sink()
-//     points at a PmuPhaseStats: an unsinked probe costs one relaxed
-//     atomic pointer load and never issues a read(2). The CI overhead gate
-//     (tools/check_telemetry_overhead.py) holds the enabled-but-unsinked
-//     build within the same <5% budget as the wall-clock probes.
+// The probes obey the same runtime gate as ScopedTimer
+// (telemetry/telemetry.h): they are dormant until install_pmu_sink() points
+// at a PmuPhaseStats, and an unsinked probe never issues a read(2). An
+// installed PMU sink is one of the sinks RunDriver checks once at run start
+// to choose its probed loop; with no sink at all, the driver's PmuScopes are
+// compiled out of the probe-free instantiation, and a KernelBlockProfiler
+// costs two pointer loads per block plus a predicted branch per marker.
 //
 // Attribution is per-thread by construction: every probe reads the calling
 // thread's counter set (profile::thread_counters()), so kernel blocks
@@ -125,8 +121,6 @@ class PmuPhaseStats {
 // Installs (or, with nullptr, removes) the process-wide PMU sink. Same
 // ownership contract as install_phase_sink: the caller keeps the sink alive
 // until uninstalled, and installation must not race a running engine.
-// Installing works in every build; only telemetry builds have probes that
-// feed it.
 void install_pmu_sink(PmuPhaseStats* sink) noexcept;
 PmuPhaseStats* pmu_sink() noexcept;
 
@@ -137,18 +131,11 @@ PmuPhaseStats* pmu_sink() noexcept;
 JsonValue pmu_stats_to_json(const PmuPhaseStats& stats, bool pmu_available,
                             const char* unavailable_reason);
 
-#ifdef BITSPREAD_TELEMETRY
-
 // RAII probe: attributes the counter delta over its lifetime to `phase` on
-// the installed PMU sink. One read(2) pair when sinked; one relaxed load
-// when not. Used by the RunDriver beside its ScopedTimers. Tight tick
-// loops (aggregate rounds are ~250 ns) pass a pre-resolved sink via the
-// two-argument form so the atomic load happens once per run, not once per
-// scope; sink installation must not race a running engine either way.
+// `sink` (one read(2) pair; nothing when `sink` is null). Used by the
+// RunDriver beside its ScopedTimers, with the sink resolved once per run.
 class PmuScope {
  public:
-  explicit PmuScope(telemetry::Phase phase) noexcept
-      : PmuScope(phase, pmu_sink()) {}
   PmuScope(telemetry::Phase phase, PmuPhaseStats* sink) noexcept
       : sink_(sink), phase_(phase) {
     if (sink_ != nullptr) {
@@ -209,21 +196,8 @@ class KernelBlockProfiler {
   }
 
  private:
-  void mark(bool opening, telemetry::Phase next) noexcept {
-    const std::uint64_t now_ns = telemetry::clock_now_ns();
-    CounterSnapshot now;
-    if (set_ != nullptr) set_->read(now);
-    if (open_) {
-      if (phases_ != nullptr) phases_->add(current_, now_ns - last_ns_);
-      if (pmu_ != nullptr && set_ != nullptr) {
-        pmu_->add(current_, set_->delta(last_, now));
-      }
-    }
-    open_ = opening;
-    current_ = next;
-    last_ns_ = now_ns;
-    last_ = now;
-  }
+  // Out of line so the word loop carries only the branch per marker.
+  void mark(bool opening, telemetry::Phase next) noexcept;
 
   PmuPhaseStats* pmu_;
   telemetry::PhaseStats* phases_;
@@ -234,25 +208,6 @@ class KernelBlockProfiler {
   std::uint64_t last_ns_ = 0;
   CounterSnapshot last_;
 };
-
-#else  // !BITSPREAD_TELEMETRY
-
-class PmuScope {
- public:
-  explicit PmuScope(telemetry::Phase /*phase*/) noexcept {}
-  PmuScope(telemetry::Phase /*phase*/, PmuPhaseStats* /*sink*/) noexcept {}
-  PmuScope(const PmuScope&) = delete;
-  PmuScope& operator=(const PmuScope&) = delete;
-};
-
-class KernelBlockProfiler {
- public:
-  KernelBlockProfiler() noexcept = default;
-  void enter(telemetry::Phase /*phase*/) noexcept {}
-  void leave() noexcept {}
-};
-
-#endif  // BITSPREAD_TELEMETRY
 
 }  // namespace profile
 }  // namespace bitspread

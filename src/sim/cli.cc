@@ -196,16 +196,13 @@ FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
       options_.listen_requested() || checkpointer_ != nullptr) {
     snapshot::install_interrupt_handlers();
   }
-  // Introspection server (--listen=; any build). The board is installed
-  // before any run starts so every RunDriver claims a progress slot; the
-  // hub exists only in telemetry builds (record_round is compiled out
-  // otherwise, so /stream correctly reports 503 there).
+  // Introspection server (--listen=). The board is installed before any
+  // run starts so every RunDriver claims a progress slot; the hub feeds
+  // /stream from the round sink.
   if (options_.listen_requested()) {
     progress_board_ = std::make_unique<obs::ProgressBoard>();
     obs::install_progress_board(progress_board_.get());
-    if (telemetry::kCompiledIn) {
-      stream_hub_ = std::make_unique<obs::StreamHub>();
-    }
+    stream_hub_ = std::make_unique<obs::StreamHub>();
     obs::ServerOptions server_options;
     server_options.listen = *options_.listen;
     server_options.hub = stream_hub_.get();
@@ -219,19 +216,13 @@ FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
     }
   }
   if (options_.pmu_out) {
-    if (telemetry::kCompiledIn) {
-      // Touching the main thread's counter set here (not in the destructor)
-      // surfaces a perf_event_open failure before the run, not after it.
-      profile::thread_counters();
-      profile::install_pmu_sink(&pmu_stats_);
-      pmu_installed_ = true;
-    } else {
-      std::cerr << "note: --pmu-out has no effect (build with "
-                   "-DBITSPREAD_TELEMETRY=ON)\n";
-    }
+    // Touching the main thread's counter set here (not in the destructor)
+    // surfaces a perf_event_open failure before the run, not after it.
+    profile::thread_counters();
+    profile::install_pmu_sink(&pmu_stats_);
   }
   if (options_.profile_out) {
-    // Sampling needs no telemetry build and no PMU — SIGPROF + frame
+    // Sampling needs no installed sink and no PMU — SIGPROF + frame
     // pointers only. Started last so profiler samples cover the run, not
     // this scope's setup.
     profiler_ = std::make_unique<profile::SamplingProfiler>();
@@ -242,13 +233,6 @@ FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
     }
   }
   if (!options_.requested() && stream_hub_ == nullptr) return;
-  if (!telemetry::kCompiledIn) {
-    if (options_.requested()) {
-      std::cerr << "note: --trace-out/--stream-out have no effect (build "
-                   "with -DBITSPREAD_TELEMETRY=ON)\n";
-    }
-    return;
-  }
   // Deliberately NO exporter-owned phase sink: an installed PhaseStats
   // activates every ScopedTimer and the per-word kernel sub-phase markers,
   // and on engines whose rounds are O(1) (aggregate: ~200ns/round) the
@@ -319,7 +303,7 @@ FlightRecorderScope::~FlightRecorderScope() {
       std::cerr << "]\n";
     }
   }
-  if (pmu_installed_) {
+  if (options_.pmu_out) {
     profile::install_pmu_sink(nullptr);
     const profile::PmuCounterSet& set = profile::thread_counters();
     std::ofstream out(*options_.pmu_out);
@@ -378,18 +362,11 @@ FlightRecorderScope::~FlightRecorderScope() {
 
 ExampleTelemetryScope::ExampleTelemetryScope(ExampleOptions options)
     : options_(std::move(options)), flight_recorder_(options_.recorder) {
-  if (options_.trace) {
-    if (telemetry::kCompiledIn) {
-      telemetry::install_phase_sink(&stats_);
-    } else {
-      std::cerr << "note: --trace has no effect (build with "
-                   "-DBITSPREAD_TELEMETRY=ON)\n";
-    }
-  }
+  if (options_.trace) telemetry::install_phase_sink(&stats_);
 }
 
 ExampleTelemetryScope::~ExampleTelemetryScope() {
-  if (options_.trace && telemetry::kCompiledIn) {
+  if (options_.trace) {
     telemetry::install_phase_sink(nullptr);
     std::cerr << "\nphase trace (engine-side, wall time):\n";
     for (int i = 0; i < telemetry::kPhaseCount; ++i) {

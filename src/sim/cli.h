@@ -6,8 +6,7 @@
 //   --reps=<int>     replicate override
 //   --json=<path>    override the destination of the unified JSON report
 //
-// Flight-recorder flags (benches and examples; active in telemetry builds,
-// a stderr note otherwise):
+// Flight-recorder flags (benches and examples):
 //   --trace-out=<path>     write a Chrome trace-event JSON timeline on exit
 //   --stream-out=<path>    write a per-round JSONL stream (X_t, drift,
 //                          per-phase nanoseconds)
@@ -17,11 +16,11 @@
 // Profiling flags (benches and examples; DESIGN.md §3.8):
 //   --pmu-out=<path>       write per-phase hardware-counter totals (cycles,
 //                          instructions, LLC/branch misses, IPC) as JSON;
-//                          probes need a telemetry build, and on no-PMU
-//                          hosts the report carries pmu_available:false
+//                          on no-PMU hosts the report carries
+//                          pmu_available:false
 //   --profile-out=<path>   run the SIGPROF sampling profiler and write
 //                          folded stacks (flamegraph.pl / speedscope input);
-//                          works in every build, off unless requested
+//                          off unless requested
 //   --profile-hz=<n>       sampling rate in CPU-time Hz (default 97)
 //
 // Checkpoint/resume flags (benches and examples; independent of telemetry):
@@ -32,7 +31,7 @@
 //   --resume=auto|<path>     resume from the newest valid ring entry (auto,
 //                            with corrupt-entry fallback) or one exact file
 //
-// Introspection flag (benches and examples; DESIGN.md §3.9, any build):
+// Introspection flag (benches and examples; DESIGN.md §3.9):
 //   --listen=<addr:port>   start the in-process HTTP exporter serving
 //                          /metrics (Prometheus), /healthz, /progress
 //                          (JSON), and /stream (live per-round JSONL);
@@ -42,7 +41,6 @@
 // Example binaries additionally accept (parse_example_options):
 //   --metrics-out <path>   dump the global metrics registry as JSON on exit
 //   --trace                print a per-phase timing table on exit
-//                          (telemetry builds only; a no-op note otherwise)
 //
 // The former --csv=<path> table mirror (deprecated in the telemetry PR) has
 // been removed; the unified JSON report carries the tables.
@@ -94,9 +92,8 @@ struct FlightRecorderOptions {
   std::optional<std::string> pmu_out;
   std::optional<std::string> profile_out;
   int profile_hz = 97;
-  // Introspection server (--listen=<addr:port>; obs/server.h). Works in
-  // every build; /stream needs a telemetry build, and /metrics phase rows
-  // additionally need a phase sink (--trace or bench_profile's).
+  // Introspection server (--listen=<addr:port>; obs/server.h). /metrics
+  // phase rows additionally need a phase sink (--trace or bench_profile's).
   std::optional<std::string> listen;
 
   bool requested() const noexcept {
@@ -187,14 +184,12 @@ struct ExampleOptions {
 
 ExampleOptions parse_example_options(int argc, char** argv);
 
-// RAII scope for the flight recorder: when the options request any output
-// and the library is a telemetry build, installs a TraceRecorder (and a
-// RoundStream when --stream-out= was given) for the scope's lifetime; the
-// destructor uninstalls both, writes the Chrome trace file, flushes the
-// stream, and reports what was written (with the dropped-event count) on
-// stderr. In a non-telemetry build a single stderr note explains how to
-// enable it. Construct before the run, destroy after — installation must
-// not race an engine.
+// RAII scope for the flight recorder: when the options request any output,
+// installs a TraceRecorder (and a RoundStream when --stream-out= was given)
+// for the scope's lifetime; the destructor uninstalls both, writes the
+// Chrome trace file, flushes the stream, and reports what was written (with
+// the dropped-event count) on stderr. Construct before the run, destroy
+// after — installation must not race an engine.
 //
 // The scope also owns the checkpoint lifecycle (--checkpoint-out=/--resume=;
 // independent of telemetry): the Checkpointer is created and a resume
@@ -227,7 +222,7 @@ class FlightRecorderScope {
   // The PMU sink active for this scope, or nullptr when --pmu-out= is off
   // (benches embed its totals in their JSON reports).
   profile::PmuPhaseStats* pmu_stats() noexcept {
-    return pmu_installed_ ? &pmu_stats_ : nullptr;
+    return options_.pmu_out ? &pmu_stats_ : nullptr;
   }
 
   // True while the SIGPROF sampling profiler is running (--profile-out=).
@@ -252,7 +247,6 @@ class FlightRecorderScope {
   // destructor can render it after uninstalling; the sampling profiler is
   // started last and stopped first.
   profile::PmuPhaseStats pmu_stats_;
-  bool pmu_installed_ = false;
   std::unique_ptr<profile::SamplingProfiler> profiler_;
   // Introspection (--listen=): the progress board RunDrivers publish into,
   // the hub that tees the round stream to /stream subscribers, and the
@@ -271,8 +265,7 @@ class FlightRecorderScope {
 // PhaseStats sink for the scope's lifetime and prints the per-phase table on
 // destruction; --metrics-out dumps the global registry as JSON; the
 // flight-recorder flags (--trace-out= etc.) are handled by an embedded
-// FlightRecorderScope. All are no-ops (with a stderr note) when telemetry
-// is compiled out.
+// FlightRecorderScope.
 class ExampleTelemetryScope {
  public:
   explicit ExampleTelemetryScope(ExampleOptions options);

@@ -52,38 +52,31 @@ unsigned WorkerPool::worker_count() const {
 
 WorkerPoolTelemetry WorkerPool::telemetry() const {
   WorkerPoolTelemetry out;
-#ifdef BITSPREAD_TELEMETRY
-  out.recorded = true;
   out.generations = generations_total_.load(std::memory_order_relaxed);
-  out.items = items_total_.load(std::memory_order_relaxed);
   out.dispatch_ns = dispatch_ns_.load(std::memory_order_relaxed);
-  out.wake_ns = wake_ns_.load(std::memory_order_relaxed);
   const unsigned spawned = worker_count();
   out.workers.resize(spawned);
   for (unsigned i = 0; i < spawned; ++i) {
-    out.workers[i].busy_ns =
-        worker_stats_[i].busy_ns.load(std::memory_order_relaxed);
-    out.workers[i].items =
-        worker_stats_[i].items.load(std::memory_order_relaxed);
+    const WorkerStats& stats = worker_stats_[i];
+    out.workers[i].busy_ns = stats.busy_ns.load(std::memory_order_relaxed);
+    out.workers[i].items = stats.items.load(std::memory_order_relaxed);
     out.workers[i].generations =
-        worker_stats_[i].generations.load(std::memory_order_relaxed);
+        stats.generations.load(std::memory_order_relaxed);
+    out.items += out.workers[i].items;
+    out.wake_ns += stats.wake_ns.load(std::memory_order_relaxed);
   }
-#endif
   return out;
 }
 
 void WorkerPool::reset_telemetry() {
-#ifdef BITSPREAD_TELEMETRY
   generations_total_.store(0, std::memory_order_relaxed);
-  items_total_.store(0, std::memory_order_relaxed);
   dispatch_ns_.store(0, std::memory_order_relaxed);
-  wake_ns_.store(0, std::memory_order_relaxed);
   for (WorkerStats& stats : worker_stats_) {
     stats.busy_ns.store(0, std::memory_order_relaxed);
+    stats.wake_ns.store(0, std::memory_order_relaxed);
     stats.items.store(0, std::memory_order_relaxed);
     stats.generations.store(0, std::memory_order_relaxed);
   }
-#endif
 }
 
 void WorkerPool::ensure_workers(unsigned target) {
@@ -105,26 +98,18 @@ void WorkerPool::worker_main(unsigned slot, std::uint64_t spawn_generation) {
     if (slot >= active_) continue;  // Not participating this generation.
     const std::function<void(int)>* fn = fn_;
     const int count = count_;
-#ifdef BITSPREAD_TELEMETRY
     const std::uint64_t gen_start_ns = gen_start_ns_;  // Read under mu_.
-#endif
     lock.unlock();
-#ifdef BITSPREAD_TELEMETRY
     const std::uint64_t woke_ns = telemetry::clock_now_ns();
-    wake_ns_.fetch_add(woke_ns - gen_start_ns, std::memory_order_relaxed);
     std::uint64_t my_items = 0;
-#endif
     t_inside_pool_worker = true;
     while (true) {
       const int i = next_.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) break;
       (*fn)(i);
-#ifdef BITSPREAD_TELEMETRY
       ++my_items;
-#endif
     }
     t_inside_pool_worker = false;
-#ifdef BITSPREAD_TELEMETRY
     const std::uint64_t busy_end_ns = telemetry::clock_now_ns();
     // Reuses the two clock reads already taken for busy_ns accounting: an
     // installed flight recorder costs the pool no extra clock traffic.
@@ -134,10 +119,9 @@ void WorkerPool::worker_main(unsigned slot, std::uint64_t spawn_generation) {
     WorkerStats& stats = worker_stats_[slot];
     stats.busy_ns.fetch_add(busy_end_ns - woke_ns,
                             std::memory_order_relaxed);
+    stats.wake_ns.fetch_add(woke_ns - gen_start_ns, std::memory_order_relaxed);
     stats.items.fetch_add(my_items, std::memory_order_relaxed);
     stats.generations.fetch_add(1, std::memory_order_relaxed);
-    items_total_.fetch_add(my_items, std::memory_order_relaxed);
-#endif
     lock.lock();
     if (--pending_ == 0) done_cv_.notify_all();
   }
@@ -183,20 +167,16 @@ void WorkerPool::run(int count, const std::function<void(int)>& fn,
     active_ = target;
     pending_ = target;
     ++generation_;
-#ifdef BITSPREAD_TELEMETRY
     gen_start_ns_ = telemetry::clock_now_ns();
-#endif
   }
   work_cv_.notify_all();
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&] { return pending_ == 0; });
   fn_ = nullptr;
-#ifdef BITSPREAD_TELEMETRY
   lock.unlock();
   generations_total_.fetch_add(1, std::memory_order_relaxed);
   dispatch_ns_.fetch_add(telemetry::clock_now_ns() - gen_start_ns_,
                          std::memory_order_relaxed);
-#endif
 }
 
 void parallel_for(int count, const std::function<void(int)>& fn,

@@ -23,12 +23,10 @@
 
 namespace bitspread {
 
-// Pool utilization counters (telemetry builds only; `recorded` is false and
-// everything is zero otherwise). Totals accumulate since process start or
-// the last reset_telemetry(); read them between run() calls — the pool's
-// join gives the happens-before that makes the numbers exact.
+// Pool utilization counters. Totals accumulate since process start or the
+// last reset_telemetry(); read them between run() calls — the pool's join
+// gives the happens-before that makes the numbers exact.
 struct WorkerPoolTelemetry {
-  bool recorded = false;
   std::uint64_t generations = 0;  // Dispatched fan-outs (inline runs excluded).
   std::uint64_t items = 0;        // Work items executed by pool workers.
   std::uint64_t dispatch_ns = 0;  // run() wall time, dispatch through join.
@@ -88,21 +86,21 @@ class WorkerPool {
   void ensure_workers(unsigned target);
   void worker_main(unsigned slot, std::uint64_t spawn_generation);
 
-#ifdef BITSPREAD_TELEMETRY
-  struct WorkerStats {
+  // One cache line per worker: each slot is written only by its worker, so
+  // recording is uncontended; totals are summed when read.
+  struct alignas(64) WorkerStats {
     std::atomic<std::uint64_t> busy_ns{0};
+    std::atomic<std::uint64_t> wake_ns{0};
     std::atomic<std::uint64_t> items{0};
     std::atomic<std::uint64_t> generations{0};
   };
   // Fixed-capacity so recording never allocates or locks; slots beyond the
   // spawned workers stay zero.
   std::array<WorkerStats, kMaxWorkers> worker_stats_;
+  // Written only by the dispatching thread (run() callers are serialized).
   std::atomic<std::uint64_t> generations_total_{0};
-  std::atomic<std::uint64_t> items_total_{0};
   std::atomic<std::uint64_t> dispatch_ns_{0};
-  std::atomic<std::uint64_t> wake_ns_{0};
   std::uint64_t gen_start_ns_ = 0;  // Guarded by mu_.
-#endif
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;

@@ -9,8 +9,7 @@
 //     "bench": "<name>",
 //     "experiment": "E2",            // optional
 //     "seed": 42, "quick": false,
-//     "build": { "type": ..., "compiler": ..., "standard": ...,
-//                "telemetry": false },
+//     "build": { "type": ..., "compiler": ..., "standard": ... },
 //     "hardware_concurrency": 16,
 //     "workload": { ... },           // bench-defined knobs (optional)
 //     "phases": [ {"name","seconds","count"}, ... ],

@@ -2,11 +2,6 @@
 
 namespace bitspread {
 namespace telemetry {
-namespace {
-
-std::atomic<PhaseStats*> g_phase_sink{nullptr};
-
-}  // namespace
 
 const char* phase_name(Phase phase) noexcept {
   switch (phase) {
@@ -35,18 +30,7 @@ const char* phase_name(Phase phase) noexcept {
 }
 
 void install_phase_sink(PhaseStats* sink) noexcept {
-  if constexpr (kCompiledIn) {
-    g_phase_sink.store(sink, std::memory_order_release);
-  } else {
-    (void)sink;
-  }
-}
-
-PhaseStats* phase_sink() noexcept {
-  if constexpr (kCompiledIn) {
-    return g_phase_sink.load(std::memory_order_acquire);
-  }
-  return nullptr;
+  internal::g_phase_sink.store(sink, std::memory_order_release);
 }
 
 }  // namespace telemetry

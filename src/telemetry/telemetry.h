@@ -1,21 +1,19 @@
-// The telemetry switch, the round-level phase sink, and the RAII timer probe.
+// The round-level phase sink, the flight-recorder hooks, and the RAII timer
+// probe.
 //
-// Two gates keep the measurement layer out of the measured system:
+// One gate keeps the measurement layer out of the measured system, and it
+// is decided at run time, once per run: RunDriver (engine/run_loop.h) checks
+// at run start whether any probe sink is installed — a PhaseStats
+// (install_phase_sink), a TraceRecorder, a RoundSink, or a PMU sink
+// (profile/counters.h). If none is, it runs the probe-free instantiation of
+// its loop, where every driver-side probe is `if constexpr`-eliminated.
+// Probes inside engine steps stay live in both instantiations; unsinked,
+// each costs two inlined pointer loads and never reads the clock.
 //
-//  1. *Compile time.* Probes exist only when the library is built with
-//     -DBITSPREAD_TELEMETRY (CMake option BITSPREAD_TELEMETRY, preset
-//     `telemetry`). Without it, ScopedTimer is an empty object and every
-//     accounting branch is `if constexpr`-eliminated — the disabled build is
-//     bit-for-bit the untouched hot path (CI asserts the runtime delta of the
-//     enabled build stays under 5% on perf_smoke).
-//  2. *Run time.* Even when compiled in, a probe records only while a
-//     PhaseStats sink is installed (install_phase_sink); otherwise it costs
-//     one relaxed atomic pointer load and never reads the clock.
-//
-// Neither gate can perturb simulation results: telemetry reads clocks and
-// bumps counters, and NEVER touches an RNG stream — the determinism suite
-// must pass bit-identical with telemetry on and off (tests/telemetry_test.cc
-// pins golden run payloads compiled into both builds).
+// The gate cannot perturb simulation results: telemetry reads clocks and
+// bumps counters, and NEVER touches an RNG stream — the probed and the
+// probe-free runs must be bit-identical (tests/telemetry_test.cc pins the
+// golden run payloads with and without sinks installed).
 #ifndef BITSPREAD_TELEMETRY_TELEMETRY_H_
 #define BITSPREAD_TELEMETRY_TELEMETRY_H_
 
@@ -27,13 +25,6 @@
 
 namespace bitspread {
 namespace telemetry {
-
-// True when the library was built with -DBITSPREAD_TELEMETRY.
-#ifdef BITSPREAD_TELEMETRY
-inline constexpr bool kCompiledIn = true;
-#else
-inline constexpr bool kCompiledIn = false;
-#endif
 
 // The instrumented phases of a simulation run. Every engine reports through
 // the same vocabulary so bench reports are comparable across engines.
@@ -101,28 +92,43 @@ class PhaseStats {
   std::array<std::atomic<std::uint64_t>, kPhaseCount> count_{};
 };
 
+class TraceRecorder;
+class RoundSink;
+
+namespace internal {
+// The installed sinks. Read through the inline getters below (the probes
+// sit on per-activation paths, where a call per load would be measurable);
+// written only by the install_* functions.
+inline std::atomic<PhaseStats*> g_phase_sink{nullptr};
+inline std::atomic<TraceRecorder*> g_trace_recorder{nullptr};
+inline std::atomic<RoundSink*> g_round_sink{nullptr};
+}  // namespace internal
+
 // Installs (or, with nullptr, removes) the process-wide probe sink. The
 // caller owns the sink and must keep it alive until it is uninstalled.
-// Compiled-out builds accept the call and ignore it.
+// Installation must not race a running engine: RunDriver reads the sinks
+// once at run start to pick its probed or probe-free loop.
 void install_phase_sink(PhaseStats* sink) noexcept;
 
-// The currently installed sink (nullptr when none, or compiled out).
-PhaseStats* phase_sink() noexcept;
+// The currently installed sink (nullptr when none).
+inline PhaseStats* phase_sink() noexcept {
+  return internal::g_phase_sink.load(std::memory_order_acquire);
+}
 
 // The flight recorder (trace.h): a per-thread bounded ring of timestamped
-// span/counter/instant events, exported as Chrome trace-event JSON. It obeys
-// the same two gates as PhaseStats: install/trace_recorder() are inert when
-// compiled out, and an installed recorder is the only thing that makes the
-// probes below emit events. The caller owns the recorder and must keep it
-// alive (and quiescent: no engine running) until it is uninstalled.
-class TraceRecorder;
+// span/counter/instant events, exported as Chrome trace-event JSON. An
+// installed recorder is the only thing that makes the probes below emit
+// events. The caller owns the recorder and must keep it alive (and
+// quiescent: no engine running) until it is uninstalled.
 void install_trace_recorder(TraceRecorder* recorder) noexcept;
-TraceRecorder* trace_recorder() noexcept;
+inline TraceRecorder* trace_recorder() noexcept {
+  return internal::g_trace_recorder.load(std::memory_order_acquire);
+}
 
 // Per-round stream sink: engines report (round, X_t, n) once per completed
 // parallel round through record_round(); an installed RoundSink receives the
 // series (jsonl.h turns it into a JSONL stream interleaving X_t, drift, and
-// per-phase nanoseconds). Same ownership/gating rules as the phase sink.
+// per-phase nanoseconds). Same ownership rules as the phase sink.
 // on_round() may be called concurrently when replicates run on the pool —
 // implementations must be thread-safe. It must never touch an RNG stream.
 class RoundSink {
@@ -132,36 +138,25 @@ class RoundSink {
                         std::uint64_t n) = 0;
 };
 void install_round_sink(RoundSink* sink) noexcept;
-RoundSink* round_sink() noexcept;
+inline RoundSink* round_sink() noexcept {
+  return internal::g_round_sink.load(std::memory_order_acquire);
+}
 
-#ifdef BITSPREAD_TELEMETRY
 // Round marker: feeds an installed TraceRecorder (counter event "X_t") and
-// an installed RoundSink. Costs two relaxed loads when neither is installed;
-// compiles to nothing in the default build. Defined in trace.cc.
+// an installed RoundSink; two pointer loads when neither is installed.
+// Defined in trace.cc.
 void record_round(std::uint64_t round, std::uint64_t ones,
                   std::uint64_t n) noexcept;
 // Instant marker (e.g. "source_flip") on the calling thread's trace lane.
 // `name` must be a string literal (stored by pointer, not copied).
 void record_mark(const char* name) noexcept;
-namespace internal {
-// Complete-span hook used by ScopedTimer and the pool's worker loop: pushes
-// one span with explicit timestamps onto the installed recorder, if any.
-void trace_span(Phase phase, std::uint64_t begin_ns,
-                std::uint64_t end_ns) noexcept;
-}  // namespace internal
-#else
-inline void record_round(std::uint64_t /*round*/, std::uint64_t /*ones*/,
-                         std::uint64_t /*n*/) noexcept {}
-inline void record_mark(const char* /*name*/) noexcept {}
-#endif
 
 // RAII probe: measures the lifetime of the object and adds it to the
 // installed sink under `phase`; when a TraceRecorder is installed it also
-// records the interval as a trace span. A disabled build compiles this to
-// nothing.
+// records the interval as a trace span. With neither installed it never
+// reads the clock.
 class ScopedTimer {
  public:
-#ifdef BITSPREAD_TELEMETRY
   explicit ScopedTimer(Phase phase) noexcept
       : sink_(phase_sink()),
         traced_(trace_recorder() != nullptr),
@@ -169,22 +164,19 @@ class ScopedTimer {
     if (sink_ != nullptr || traced_) start_ns_ = clock_now_ns();
   }
   ~ScopedTimer() {
-    if (sink_ == nullptr && !traced_) return;
-    const std::uint64_t end_ns = clock_now_ns();
-    if (sink_ != nullptr) sink_->add(phase_, end_ns - start_ns_);
-    if (traced_) internal::trace_span(phase_, start_ns_, end_ns);
+    if (sink_ != nullptr || traced_) record();
   }
+  ScopedTimer(const ScopedTimer&) = delete;
+  ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
+  // Out of line so unsinked probes on per-activation paths stay a branch.
+  void record() const noexcept;
+
   PhaseStats* sink_;
   bool traced_;
   Phase phase_;
   std::uint64_t start_ns_ = 0;
-#else
-  explicit ScopedTimer(Phase /*phase*/) noexcept {}
-#endif
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
 };
 
 }  // namespace telemetry

@@ -42,7 +42,6 @@ struct TraceRecorder::Lane {
 
 namespace {
 
-std::atomic<TraceRecorder*> g_trace_recorder{nullptr};
 // Bumped on every install/uninstall so thread-local lane pointers cached
 // against a previous recorder (possibly at a recycled address) are never
 // reused.
@@ -330,43 +329,13 @@ std::vector<std::string> validate_chrome_trace(const JsonValue& trace) {
 }
 
 void install_trace_recorder(TraceRecorder* recorder) noexcept {
-  if constexpr (kCompiledIn) {
-    g_trace_epoch.fetch_add(1, std::memory_order_acq_rel);
-    g_trace_recorder.store(recorder, std::memory_order_release);
-  } else {
-    (void)recorder;
-  }
+  g_trace_epoch.fetch_add(1, std::memory_order_acq_rel);
+  internal::g_trace_recorder.store(recorder, std::memory_order_release);
 }
-
-TraceRecorder* trace_recorder() noexcept {
-  if constexpr (kCompiledIn) {
-    return g_trace_recorder.load(std::memory_order_acquire);
-  }
-  return nullptr;
-}
-
-namespace {
-
-std::atomic<RoundSink*> g_round_sink{nullptr};
-
-}  // namespace
 
 void install_round_sink(RoundSink* sink) noexcept {
-  if constexpr (kCompiledIn) {
-    g_round_sink.store(sink, std::memory_order_release);
-  } else {
-    (void)sink;
-  }
+  internal::g_round_sink.store(sink, std::memory_order_release);
 }
-
-RoundSink* round_sink() noexcept {
-  if constexpr (kCompiledIn) {
-    return g_round_sink.load(std::memory_order_acquire);
-  }
-  return nullptr;
-}
-
-#ifdef BITSPREAD_TELEMETRY
 
 void record_round(std::uint64_t round, std::uint64_t ones,
                   std::uint64_t n) noexcept {
@@ -383,18 +352,14 @@ void record_mark(const char* name) noexcept {
   }
 }
 
-namespace internal {
-
-void trace_span(Phase phase, std::uint64_t begin_ns,
-                std::uint64_t end_ns) noexcept {
+void ScopedTimer::record() const noexcept {
+  const std::uint64_t end_ns = clock_now_ns();
+  if (sink_ != nullptr) sink_->add(phase_, end_ns - start_ns_);
+  if (!traced_) return;
   if (TraceRecorder* recorder = trace_recorder()) {
-    recorder->span(phase_name(phase), begin_ns, end_ns);
+    recorder->span(phase_name(phase_), start_ns_, end_ns);
   }
 }
-
-}  // namespace internal
-
-#endif  // BITSPREAD_TELEMETRY
 
 }  // namespace telemetry
 }  // namespace bitspread

@@ -11,12 +11,11 @@
 //     closes, so evicting an event can never strand an unmatched "B" or "E";
 //     the Chrome B/E pairs are reconstructed at export time by a per-lane
 //     sort + stack sweep (RAII guarantees proper nesting per thread).
-//  3. *Two-gate discipline.* This class compiles in every build (its direct
-//     API is unit-tested from the default build), but the probes that feed
-//     it — ScopedTimer, record_round(), record_mark(), the pool's worker
-//     spans — exist only under -DBITSPREAD_TELEMETRY and are dormant until
-//     install_trace_recorder() points at an instance. Recording reads clocks
-//     and writes ring slots; it NEVER touches an RNG stream.
+//  3. *Dormant until installed.* The probes that feed it — ScopedTimer,
+//     record_round(), record_mark(), the pool's worker spans — record only
+//     while install_trace_recorder() points at an instance (telemetry.h
+//     describes the one runtime gate). Recording reads clocks and writes
+//     ring slots; it NEVER touches an RNG stream.
 //
 // Threading: each thread that records gets its own lane (ring) on first use,
 // registered through an epoch-checked thread-local so stale pointers from a

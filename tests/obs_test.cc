@@ -605,7 +605,7 @@ TEST_F(LiveServerTest, HealthzParsesAndReportsState) {
   EXPECT_NE(doc->find("status"), nullptr);
   EXPECT_NE(doc->find("uptime_seconds"), nullptr);
   EXPECT_NE(doc->find("scrapes"), nullptr);
-  EXPECT_NE(doc->find("telemetry_compiled_in"), nullptr);
+  EXPECT_EQ(doc->find("telemetry_compiled_in"), nullptr);
   EXPECT_NE(doc->find("stream_available"), nullptr);
 }
 
@@ -692,9 +692,6 @@ TEST_F(LiveServerTest, MetricsScrapeValidatesWhileRunsPublish) {
 }
 
 TEST_F(LiveServerTest, StreamDeliversLiveRounds) {
-  if (!telemetry::kCompiledIn) {
-    GTEST_SKIP() << "record_round is compiled out without BITSPREAD_TELEMETRY";
-  }
   telemetry::install_round_sink(&hub_);
   std::atomic<bool> stop{false};
   std::thread producer([&] {

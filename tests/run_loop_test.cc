@@ -153,11 +153,9 @@ TEST(RunLoopFaults, ConflictingBothCampsReportsZealotTelemetry) {
   const RunResult result = engine.run(config, rule, model, rng);
   EXPECT_TRUE(result.reason == StopReason::kCorrectConsensus ||
               result.reason == StopReason::kRoundLimit);
-  if (telemetry::kCompiledIn) {
-    // The minority camp rides the zealot channel.
-    EXPECT_EQ(result.telemetry.fault_zealots, 2u);
-    EXPECT_GT(result.telemetry.samples_drawn, 0u);
-  }
+  // The minority camp rides the zealot channel.
+  EXPECT_EQ(result.telemetry.fault_zealots, 2u);
+  EXPECT_GT(result.telemetry.samples_drawn, 0u);
 }
 
 TEST(RunLoopTelemetry, ConflictingWatchCarriesTelemetry) {
@@ -168,11 +166,8 @@ TEST(RunLoopTelemetry, ConflictingWatchCarriesTelemetry) {
   const auto watch = engine.watch(ConflictingConfiguration{64, 32, 4, 2}, 25,
                                   rng, &trajectory);
   EXPECT_EQ(trajectory.back().round, 25u);
-  EXPECT_EQ(watch.telemetry.recorded, telemetry::kCompiledIn);
-  if (telemetry::kCompiledIn) {
-    EXPECT_EQ(watch.telemetry.rounds, 25u);
-    EXPECT_GT(watch.telemetry.samples_drawn, 0u);
-  }
+  EXPECT_EQ(watch.telemetry.rounds, 25u);
+  EXPECT_GT(watch.telemetry.samples_drawn, 0u);
 }
 
 // --- Multi-opinion engines ------------------------------------------------
@@ -204,10 +199,8 @@ TEST(RunLoopFaults, MultiChurnKeepsRunFromConsensusAndIsCounted) {
       engine.run(MultiConfiguration{{50, 7, 7}, 0, 1}, rule, model, rng);
   EXPECT_EQ(result.reason, StopReason::kRoundLimit);
   EXPECT_TRUE(result.censored());
-  if (telemetry::kCompiledIn) {
-    EXPECT_GT(result.telemetry.fault_churned, 0u);
-    EXPECT_EQ(result.telemetry.rounds, 50u);
-  }
+  EXPECT_GT(result.telemetry.fault_churned, 0u);
+  EXPECT_EQ(result.telemetry.rounds, 50u);
 }
 
 TEST(RunLoopFaults, MultiWrongConsensusDoesNotStopWhenEscapable) {
@@ -281,9 +274,7 @@ TEST(RunLoopFaults, PopulationZealotSlotsStayFrozen) {
   // Zealots pin the initially wrong opinion (kZero -> the last slots).
   EXPECT_EQ(voter.opinion(population.states[15]), Opinion::kZero);
   EXPECT_EQ(voter.opinion(population.states[14]), Opinion::kZero);
-  if (telemetry::kCompiledIn) {
-    EXPECT_EQ(result.telemetry.fault_zealots, 2u);
-  }
+  EXPECT_EQ(result.telemetry.fault_zealots, 2u);
 }
 
 TEST(RunLoopTrajectory, PopulationRunRecordsPerParallelRound) {
@@ -320,12 +311,8 @@ TEST(RunLoopTelemetry, MigratedEnginesStreamRounds) {
         alpha.run(Configuration{4096, 2048, Opinion::kOne}, rule, rng);
     telemetry::install_round_sink(nullptr);
 
-    if (telemetry::kCompiledIn) {
-      EXPECT_EQ(result.ticks, 10u);
-      EXPECT_EQ(stream.rounds_seen(), result.ticks + 1);
-    } else {
-      EXPECT_EQ(stream.rounds_seen(), 0u);
-    }
+    EXPECT_EQ(result.ticks, 10u);
+    EXPECT_EQ(stream.rounds_seen(), result.ticks + 1);
   }
   {
     telemetry::RoundStream stream(path);
@@ -341,11 +328,7 @@ TEST(RunLoopTelemetry, MigratedEnginesStreamRounds) {
         engine.run(MultiConfiguration{{2048, 1024, 1024}, 0, 1}, rule, rng);
     telemetry::install_round_sink(nullptr);
 
-    if (telemetry::kCompiledIn) {
-      EXPECT_EQ(stream.rounds_seen(), result.rounds + 1);
-    } else {
-      EXPECT_EQ(stream.rounds_seen(), 0u);
-    }
+    EXPECT_EQ(stream.rounds_seen(), result.rounds + 1);
   }
   {
     telemetry::RoundStream stream(path);
@@ -361,11 +344,7 @@ TEST(RunLoopTelemetry, MigratedEnginesStreamRounds) {
     const RunResult result = engine.run(population, rule, rng);
     telemetry::install_round_sink(nullptr);
 
-    if (telemetry::kCompiledIn) {
-      EXPECT_EQ(stream.rounds_seen(), result.rounds() + 1);
-    } else {
-      EXPECT_EQ(stream.rounds_seen(), 0u);
-    }
+    EXPECT_EQ(stream.rounds_seen(), result.rounds() + 1);
   }
 }
 

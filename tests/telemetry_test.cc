@@ -1,9 +1,10 @@
 // Telemetry subsystem tests: exact metrics under pool concurrency, the JSON
 // model and bench-report schema, phase probes, pool utilization counters,
 // and — the load-bearing guarantee — bit-identical run payloads whether
-// telemetry records or not. The GoldenPayloadDigest constants are compiled
-// into BOTH build flavors (default and -DBITSPREAD_TELEMETRY=ON), so passing
-// in both proves the compile-time switch cannot perturb a simulation.
+// telemetry records or not. The golden digest is asserted both with no sink
+// installed (RunDriver's probe-free loop) and with sinks installed (its
+// probed loop), so passing proves the runtime probe gate cannot perturb a
+// simulation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -180,7 +181,7 @@ TEST(Reporter, BuildPassesSchemaValidation) {
   EXPECT_EQ(report.find("seed")->as_uint(), 12345u);
   const JsonValue* build = report.find("build");
   ASSERT_NE(build, nullptr);
-  EXPECT_EQ(build->find("telemetry")->as_bool(), telemetry::kCompiledIn);
+  EXPECT_EQ(build->find("telemetry"), nullptr);  // One build flavour.
 }
 
 TEST(Reporter, ValidatorRejectsNonReports) {
@@ -226,17 +227,11 @@ TEST(PhaseStats, ScopedTimerRecordsOnlyWithSink) {
     const telemetry::ScopedTimer timer(telemetry::Phase::kRoundStep);
   }
   telemetry::install_phase_sink(nullptr);
-  if (telemetry::kCompiledIn) {
-    EXPECT_EQ(stats.count(telemetry::Phase::kRoundStep), 1u);
-  } else {
-    // Compiled out: the probe is an empty object and the sink stays unused.
-    EXPECT_EQ(stats.count(telemetry::Phase::kRoundStep), 0u);
-  }
+  EXPECT_EQ(stats.count(telemetry::Phase::kRoundStep), 1u);
   {  // Uninstalled again: back to silent.
     const telemetry::ScopedTimer timer(telemetry::Phase::kRoundStep);
   }
-  EXPECT_EQ(stats.count(telemetry::Phase::kRoundStep),
-            telemetry::kCompiledIn ? 1u : 0u);
+  EXPECT_EQ(stats.count(telemetry::Phase::kRoundStep), 1u);
 }
 
 TEST(PoolTelemetry, CountsItemsAndGenerationsExactly) {
@@ -249,25 +244,19 @@ TEST(PoolTelemetry, CountsItemsAndGenerationsExactly) {
       /*max_threads=*/4);
   ASSERT_EQ(executed.load(), kItems);
   const WorkerPoolTelemetry t = pool.telemetry();
-  if (telemetry::kCompiledIn) {
-    EXPECT_TRUE(t.recorded);
-    EXPECT_EQ(t.generations, 1u);
-    EXPECT_EQ(t.items, static_cast<std::uint64_t>(kItems));
-    EXPECT_GT(t.dispatch_ns, 0u);
-    std::uint64_t worker_items = 0, worker_generations = 0;
-    for (const auto& w : t.workers) {
-      worker_items += w.items;
-      worker_generations += w.generations;
-    }
-    EXPECT_EQ(worker_items, static_cast<std::uint64_t>(kItems));
-    EXPECT_EQ(worker_generations, 4u);  // 4 participants, 1 generation.
-    const double u = t.utilization();
-    EXPECT_GE(u, 0.0);
-    EXPECT_LE(u, 1.5);  // Clock granularity slack.
-  } else {
-    EXPECT_FALSE(t.recorded);
-    EXPECT_EQ(t.items, 0u);
+  EXPECT_EQ(t.generations, 1u);
+  EXPECT_EQ(t.items, static_cast<std::uint64_t>(kItems));
+  EXPECT_GT(t.dispatch_ns, 0u);
+  std::uint64_t worker_items = 0, worker_generations = 0;
+  for (const auto& w : t.workers) {
+    worker_items += w.items;
+    worker_generations += w.generations;
   }
+  EXPECT_EQ(worker_items, static_cast<std::uint64_t>(kItems));
+  EXPECT_EQ(worker_generations, 4u);  // 4 participants, 1 generation.
+  const double u = t.utilization();
+  EXPECT_GE(u, 0.0);
+  EXPECT_LE(u, 1.5);  // Clock granularity slack.
 }
 
 // ---------------------------------------------------------------------------
@@ -370,17 +359,17 @@ TEST(TelemetryDeterminism, RuntimeSinkDoesNotPerturbAnyEngine) {
   EXPECT_EQ(without_sink, with_sink);
 }
 
-// The cross-build pin: this constant is compiled into BOTH the default and
-// the telemetry build; each asserts the same payloads, so the compile-time
-// switch provably cannot perturb a simulation. If an intentional engine
-// change shifts the value, update it from the test's failure output — in
-// both builds it must come out identical.
+// The golden pin: asserted here with no sink installed (the probe-free
+// loop) and by FlightRecorderDoesNotPerturbAnyEngine with sinks installed
+// (the probed loop), so the probe gate provably cannot perturb a
+// simulation. If an intentional engine change shifts the value, update it
+// from the test's failure output — both tests must agree on it.
 constexpr std::uint64_t kGoldenAllEnginesDigest = 15000701221148159086ull;
 
 TEST(TelemetryDeterminism, GoldenPayloadDigestMatchesAcrossBuilds) {
   EXPECT_EQ(all_engines_digest(), kGoldenAllEnginesDigest)
-      << "run payloads changed — update kGoldenAllEnginesDigest (must match "
-         "in BOTH the default and the BITSPREAD_TELEMETRY=ON build)";
+      << "run payloads changed — update kGoldenAllEnginesDigest (probed and "
+         "probe-free runs must both match it)";
 }
 
 // The flight recorder rides the same guarantee: with a TraceRecorder AND a
@@ -397,14 +386,8 @@ TEST(TelemetryDeterminism, FlightRecorderDoesNotPerturbAnyEngine) {
   telemetry::install_trace_recorder(nullptr);
   EXPECT_EQ(with_recorder, kGoldenAllEnginesDigest)
       << "flight recorder perturbed a run payload";
-  if (telemetry::kCompiledIn) {
-    EXPECT_GT(recorder.recorded(), 0u);
-    EXPECT_GT(stream.lines(), 0u);
-  } else {
-    // Compiled out: the probes are inline no-ops and nothing reaches either.
-    EXPECT_EQ(recorder.recorded(), 0u);
-    EXPECT_EQ(stream.lines(), 0u);
-  }
+  EXPECT_GT(recorder.recorded(), 0u);
+  EXPECT_GT(stream.lines(), 0u);
 }
 
 TEST(TelemetryDeterminism, RunTelemetryRecordedMatchesBuildFlavor) {
@@ -414,14 +397,9 @@ TEST(TelemetryDeterminism, RunTelemetryRecordedMatchesBuildFlavor) {
   rule.max_rounds = 100;
   Rng rng(9);
   const RunResult result = engine.run(init_half(512, Opinion::kOne), rule, rng);
-  EXPECT_EQ(result.telemetry.recorded, telemetry::kCompiledIn);
-  if (telemetry::kCompiledIn) {
-    EXPECT_EQ(result.telemetry.rounds, result.rounds());
-    EXPECT_GT(result.telemetry.samples_drawn, 0u);
-    EXPECT_GT(result.telemetry.wall_seconds, 0.0);
-  } else {
-    EXPECT_EQ(result.telemetry.rounds, 0u);
-  }
+  EXPECT_EQ(result.telemetry.rounds, result.rounds());
+  EXPECT_GT(result.telemetry.samples_drawn, 0u);
+  EXPECT_GT(result.telemetry.wall_seconds, 0.0);
 }
 
 }  // namespace

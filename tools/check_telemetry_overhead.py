@@ -19,13 +19,11 @@ row in both directions; CI takes three interleaved measurements per side,
 which the median makes robust to one outlier run on each side.
 
 Both inputs are unified bench reports ("bitspread-bench/1") written by
-perf_smoke: BASELINE from the default build, TELEMETRY from the
-BITSPREAD_TELEMETRY=ON build with NO sink installed. The compiled-in but
-unsinked probes — the ScopedTimer phase probes AND the §3.8 PMU scopes /
-kernel sub-phase markers, which in a telemetry build always pay their
-one relaxed sink load per probe site — must stay within `--max-regression`
+perf_smoke: BASELINE from the reference run, TELEMETRY from the run under
+test (e.g. a change against its parent commit, both with NO sink
+installed). The measured side must stay within `--max-regression`
 (default 5%) of the baseline throughput on every benchmark; a faster
-telemetry build always passes.
+measured side always passes.
 
 Reports recorded while the SIGPROF sampling profiler was running
 (pmu.sampling_active in the report, set when --profile-out= was passed)
@@ -152,7 +150,7 @@ def compare(baseline, telemetry, max_regression):
         tele_ips = telemetry[name]
         if base_ips <= 0:
             raise BadInput(f"baseline throughput for {name} is {base_ips}")
-        # Positive = telemetry build is slower.
+        # Positive = measured side is slower.
         slowdown = (base_ips - tele_ips) / base_ips
         worst = max(worst, slowdown)
         verdict = "OK"
@@ -211,7 +209,7 @@ def self_test():
 
     def test_faster_passes():
         code, _ = compare(bench(1.0), bench(1.20), 0.05)
-        assert code == 0, "a faster telemetry build must pass"
+        assert code == 0, "a faster measured side must pass"
 
     def test_missing_benchmark():
         tele = bench(1.0)
@@ -353,7 +351,7 @@ def self_test():
     print("check_telemetry_overhead self-test:")
     case("3% slowdown within 5% budget", test_within_budget)
     case("10% slowdown fails 5% budget", test_over_budget)
-    case("faster telemetry build passes", test_faster_passes)
+    case("faster measured side passes", test_faster_passes)
     case("missing benchmark is a clean error", test_missing_benchmark)
     case("malformed JSON is a clean error", test_malformed_file)
     case("missing file is a clean error", test_missing_file)

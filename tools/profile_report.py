@@ -90,7 +90,7 @@ def render_breakdown(report):
         subs = row.get("sub_phases")
         if not subs:
             lines.append("  (no sub-phase markers: legacy loop or "
-                         "non-telemetry build)")
+                         "no phase sink installed)")
             continue
         lines.append(
             f"  {'sub-phase':<10} {'share':>7} {'wall':>9} {'cycles':>13} "
@@ -176,7 +176,7 @@ def check_ipc(report, history_path, ipc_drop, min_entries, window):
     candidate = ipc_metrics(report)
     if not candidate:
         lines.append("ipc gate: report carries no IPC data (no-PMU host "
-                     "or non-telemetry build) — passing vacuously")
+                     "or no sub-phase rows) — passing vacuously")
         return 0, lines
     key = bench_history.provenance_key(report)
     history = bench_history.matching_entries(
