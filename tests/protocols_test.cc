@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "core/protocol.h"
@@ -19,9 +20,18 @@
 #include "random/rng.h"
 
 namespace bitspread {
-namespace {
 
 constexpr std::uint64_t kN = 1000;
+
+// Prints a protocol parameter as its name and sample size. Without it
+// googletest prints the pointer, and CTest discovery puts that address --
+// different in every build and under every ASLR layout -- into the test name.
+// Lives in namespace bitspread so argument-dependent lookup finds it.
+void PrintTo(const MemorylessProtocol* protocol, std::ostream* os) {
+  *os << protocol->name() << ", l=" << protocol->sample_size(kN);
+}
+
+namespace {
 
 TEST(Voter, GIsLinearInCount) {
   const VoterDynamics voter(4);
