@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "random/binomial.h"
+
 namespace bitspread {
 
 double eq4_adoption_sum(const MemorylessProtocol& protocol, Opinion own,
@@ -17,14 +19,10 @@ double eq4_adoption_sum(const MemorylessProtocol& protocol, Opinion own,
   const double nd = static_cast<double>(ell);
   const auto mode =
       static_cast<std::uint32_t>(std::min(nd, std::floor((nd + 1.0) * p)));
-  const double log_mode =
-      std::lgamma(nd + 1.0) - std::lgamma(static_cast<double>(mode) + 1.0) -
-      std::lgamma(nd - static_cast<double>(mode) + 1.0) +
-      static_cast<double>(mode) * std::log(p) +
-      (nd - static_cast<double>(mode)) * std::log1p(-p);
   const double ratio = p / (1.0 - p);
 
-  double weight = std::exp(log_mode);
+  double weight =
+      std::exp(binomial_log_pmf(nd, static_cast<double>(mode), p));
   double acc = weight * protocol.g(own, mode, ell, n);
   double w = weight;
   for (std::uint32_t k = mode; k < ell; ++k) {

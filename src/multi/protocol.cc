@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "random/log_gamma.h"
+
 namespace bitspread {
 namespace {
 
@@ -37,12 +39,12 @@ double histogram_probability(std::span<const std::uint32_t> histogram,
   std::uint32_t total = 0;
   for (const std::uint32_t k : histogram) total += k;
   // Multinomial pmf in log space for stability.
-  double log_p = std::lgamma(static_cast<double>(total) + 1.0);
+  double log_p = log_gamma(static_cast<double>(total) + 1.0);
   for (std::size_t j = 0; j < histogram.size(); ++j) {
     const double k = static_cast<double>(histogram[j]);
     if (histogram[j] == 0) continue;
     if (fractions[j] <= 0.0) return 0.0;
-    log_p += k * std::log(fractions[j]) - std::lgamma(k + 1.0);
+    log_p += k * std::log(fractions[j]) - log_gamma(k + 1.0);
   }
   return std::exp(log_p);
 }

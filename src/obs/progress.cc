@@ -1,6 +1,7 @@
 #include "obs/progress.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "faults/session.h"
 #include "snapshot/checkpoint.h"
@@ -108,11 +109,15 @@ std::vector<ProgressRecord> ProgressBoard::read() const {
     ProgressRecord r;
     bool consistent = false;
     // 1024 attempts: a real RunProgressScope publishes ~10x/sec, so one
-    // attempt nearly always suffices; the headroom covers a writer that is
-    // mid-publish on every early attempt.
+    // attempt nearly always suffices. A failed attempt yields, so a writer
+    // preempted mid-publish on a loaded host gets the CPU back to finish it
+    // instead of the reader burning every attempt inside one time slice.
     for (int attempt = 0; attempt < 1024; ++attempt) {
       const std::uint32_t before = s.seq.load(std::memory_order_acquire);
-      if (before & 1u) continue;  // Publish in flight; retry.
+      if (before & 1u) {  // Publish in flight; retry.
+        std::this_thread::yield();
+        continue;
+      }
       r.active = s.active.load(std::memory_order_relaxed);
       r.faulty = s.faulty.load(std::memory_order_relaxed);
       r.engine = s.engine.load(std::memory_order_relaxed);
@@ -135,6 +140,7 @@ std::vector<ProgressRecord> ProgressBoard::read() const {
         consistent = true;
         break;
       }
+      std::this_thread::yield();  // Torn: a publish overlapped the copy.
     }
     // A slot whose writer outran every attempt is dropped rather than
     // reported torn; the next scrape picks it up.

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "random/binomial.h"
+
 namespace bitspread {
 namespace {
 
@@ -35,14 +37,10 @@ double MinorityDynamics::aggregate_adoption(Opinion /*own*/, double p,
   const double nd = static_cast<double>(ell);
   const auto mode =
       static_cast<std::uint32_t>(std::min(nd, std::floor((nd + 1.0) * p)));
-  const double log_mode =
-      std::lgamma(nd + 1.0) - std::lgamma(static_cast<double>(mode) + 1.0) -
-      std::lgamma(nd - static_cast<double>(mode) + 1.0) +
-      static_cast<double>(mode) * std::log(p) +
-      (nd - static_cast<double>(mode)) * std::log1p(-p);
   const double ratio = p / (1.0 - p);
 
-  const double weight = std::exp(log_mode);
+  const double weight =
+      std::exp(binomial_log_pmf(nd, static_cast<double>(mode), p));
   double acc = weight * g_minority(mode, ell);
   double w = weight;
   for (std::uint32_t k = mode; k < ell; ++k) {

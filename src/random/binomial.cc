@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "random/log_gamma.h"
+
 namespace bitspread {
 namespace binomial_detail {
 
@@ -93,6 +95,11 @@ std::uint64_t binomial(Rng& rng, std::uint64_t n, double p) noexcept {
   return binomial_detail::btrs(rng, n, p);
 }
 
+double binomial_log_pmf(double n, double k, double p) noexcept {
+  return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0) +
+         k * std::log(p) + (n - k) * std::log1p(-p);
+}
+
 std::vector<double> binomial_pmf(std::uint64_t n, double p) {
   std::vector<double> pmf(n + 1, 0.0);
   if (p <= 0.0) {
@@ -108,12 +115,7 @@ std::vector<double> binomial_pmf(std::uint64_t n, double p) {
   const double nd = static_cast<double>(n);
   const auto mode = static_cast<std::uint64_t>(
       std::min(nd, std::floor((nd + 1.0) * p)));
-  const double log_mode = std::lgamma(nd + 1.0) -
-                          std::lgamma(static_cast<double>(mode) + 1.0) -
-                          std::lgamma(nd - static_cast<double>(mode) + 1.0) +
-                          static_cast<double>(mode) * std::log(p) +
-                          (nd - static_cast<double>(mode)) * std::log1p(-p);
-  pmf[mode] = std::exp(log_mode);
+  pmf[mode] = std::exp(binomial_log_pmf(nd, static_cast<double>(mode), p));
   const double ratio = p / (1.0 - p);
   for (std::uint64_t k = mode; k < n; ++k) {
     pmf[k + 1] = pmf[k] * ratio * (nd - static_cast<double>(k)) /

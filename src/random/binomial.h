@@ -33,6 +33,11 @@ std::uint64_t btrs(Rng& rng, std::uint64_t n, double p) noexcept;  // p <= 0.5
 inline constexpr double kInversionThreshold = 10.0;
 }  // namespace binomial_detail
 
+// log P(Binomial(n, p) = k) through the thread-safe log_gamma, for 0 < p < 1.
+// n and k are integers passed as doubles. The pmf walks (binomial_pmf and the
+// Eq. 4 adoption sums) start from this value at the mode.
+double binomial_log_pmf(double n, double k, double p) noexcept;
+
 // pmf of Binomial(n, k) at all k in [0, n], computed with the stable
 // multiplicative recurrence. Used by the exact Markov-chain module.
 std::vector<double> binomial_pmf(std::uint64_t n, double p);

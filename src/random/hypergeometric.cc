@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "random/log_gamma.h"
+
 namespace bitspread {
 namespace {
 
@@ -26,11 +28,10 @@ std::vector<double> hypergeometric_pmf(std::uint64_t total,
       draws + successes > total ? draws + successes - total : 0;
   const std::uint64_t hi = std::min(draws, successes);
   std::vector<double> pmf(draws + 1, 0.0);
-  // log pmf at lo via lgamma, then multiplicative recurrence:
+  // log pmf at lo via log_gamma, then multiplicative recurrence:
   // pmf(k+1)/pmf(k) = (K-k)(n-k) / ((k+1)(N-K-n+k+1))
   auto lchoose = [](double a, double b) {
-    return std::lgamma(a + 1.0) - std::lgamma(b + 1.0) -
-           std::lgamma(a - b + 1.0);
+    return log_gamma(a + 1.0) - log_gamma(b + 1.0) - log_gamma(a - b + 1.0);
   };
   const double n_d = static_cast<double>(draws);
   const double big_n = static_cast<double>(total);

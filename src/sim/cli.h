@@ -226,7 +226,7 @@ class FlightRecorderScope {
   }
 
   // True while the SIGPROF sampling profiler is running (--profile-out=).
-  // Benches record this in their reports so check_telemetry_overhead.py can
+  // Benches record this in their reports so `bench_history.py compare` can
   // reject overhead measurements taken with sampling interrupts firing.
   bool sampling_active() const noexcept {
     return profiler_ != nullptr && profiler_->running();

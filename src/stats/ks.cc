@@ -5,6 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "random/log_gamma.h"
+
 namespace bitspread {
 
 double ks_statistic(std::span<const double> a, std::span<const double> b) {
@@ -89,7 +91,7 @@ namespace {
 // continued fraction (x >= s+1). Standard Numerical-Recipes-style routine.
 double gamma_p(double s, double x) {
   if (x <= 0.0) return 0.0;
-  const double lg = std::lgamma(s);
+  const double lg = log_gamma(s);
   if (x < s + 1.0) {
     double term = 1.0 / s;
     double sum = term;

@@ -2,6 +2,7 @@
 // the classical definitions; closed-form aggregate adoption vs the generic
 // Eq. 4 sum (property sweep over p); Proposition 3 compliance.
 #include <gtest/gtest.h>
+#include <math.h>
 
 #include <cmath>
 #include <limits>
@@ -17,6 +18,7 @@
 #include "protocols/three_majority.h"
 #include "protocols/two_choice.h"
 #include "protocols/voter.h"
+#include "random/binomial.h"
 #include "random/rng.h"
 
 namespace bitspread {
@@ -290,6 +292,24 @@ TEST(Eq4Sum, MinoritySqrtRegimeMatchesGenericReference) {
                 eq4_adoption_sum(minority, Opinion::kZero, p, n), 1e-9)
         << "p=" << p;
   }
+}
+
+TEST(Eq4Sum, AdoptionSumsLeaveSigngamAlone) {
+  // lgamma writes the process-global signgam, a data race once parallel_for
+  // workers evaluate adoption sums concurrently. The pmf walks must use the
+  // reentrant form, which leaves signgam as it found it.
+  constexpr int kSentinel = -7;  // lgamma of a positive argument stores +1.
+  const MinorityDynamics minority(3);
+  signgam = kSentinel;
+  EXPECT_GT(minority.aggregate_adoption(Opinion::kZero, 0.4, kN), 0.0);
+  EXPECT_EQ(signgam, kSentinel) << "MinorityDynamics::aggregate_adoption";
+  signgam = kSentinel;
+  EXPECT_EQ(binomial_pmf(20, 0.3).size(), 21u);
+  EXPECT_EQ(signgam, kSentinel) << "binomial_pmf";
+  const MajorityDynamics majority(5);  // Uses the default Eq. 4 sum.
+  signgam = kSentinel;
+  EXPECT_GT(majority.aggregate_adoption(Opinion::kZero, 0.6, kN), 0.0);
+  EXPECT_EQ(signgam, kSentinel) << "eq4_adoption_sum";
 }
 
 }  // namespace

@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
-"""Bench-trajectory history: append unified bench reports, gate regressions.
+"""The repo's perf gate: bench-report history and pairwise comparison.
 
 The repo's perf story is a *trajectory*: every CI run appends the
 perf_smoke "bitspread-bench/1" payload to results/HISTORY.jsonl, and the
 gate compares the freshest run against the trailing median of comparable
 history so a slow drift (or a one-PR cliff) fails the build instead of
-silently eroding the numbers.
+silently eroding the numbers. `compare` gates one set of reports against
+another directly (a change against its parent, or a run with the live
+exporter against the same build without it).
 
 Usage:
     bench_history.py append REPORT.json --history results/HISTORY.jsonl \
         --commit SHA [--stamp ISO8601]
     bench_history.py gate REPORT.json --history results/HISTORY.jsonl \
         [--threshold 0.10] [--share-drift 0.15] [--min-entries 3] [--window 20]
+    bench_history.py compare --baseline B1.json ... --measured M1.json ... \
+        [--exporter] [--max-regression 0.05]
     bench_history.py self-test
 
 History entries use schema "bitspread-history/1": one JSON object per
-line holding the provenance key (bench name, build type, telemetry flag,
-quick flag, hardware_concurrency) plus the extracted metrics:
+line holding the provenance key (bench name, build type, quick flag,
+hardware_concurrency) plus the extracted metrics:
 
   * throughput.<benchmark>   items/sec of each row in "benchmarks"
   * phase_share.<phase>      that phase's fraction of total phase seconds
@@ -32,6 +36,18 @@ absolute. With fewer than --min-entries comparable entries the gate passes
 vacuously (exit 0) so a fresh repo can seed its own history. Rows lacking
 PMU data simply contribute no ipc.* columns — a no-PMU host's report
 gates its throughput as usual and never trips on counters it cannot read.
+
+`compare` takes the per-row MEDIAN items/sec over each side's reports and
+fails if any baseline row is more than --max-regression slower on the
+measured side. Median, not best-of: on burst-budgeted hosts the noise is
+two-sided (throttled windows and turbo spikes), so a max-of-N estimate
+chases the one lucky run; three interleaved runs per side make the median
+robust to one outlier on each side. Reports recorded with the SIGPROF
+sampling profiler running (pmu.sampling_active) are rejected: sampling
+interrupts perturb both sides. A report stamped pmu.exporter_active
+(recorded under --listen= with scrapes) is rejected unless --exporter is
+given; --exporter gates the exporter itself, so the measured side must
+carry the stamp and the baseline must not.
 
 Exit status: 0 = pass/appended, 1 = regression detected, 2 = bad input.
 """
@@ -73,7 +89,6 @@ def provenance_key(report):
     return {
         "bench": report.get("bench"),
         "build_type": build.get("type"),
-        "telemetry": bool(build.get("telemetry", False)),
         "quick": bool(report.get("quick", False)),
         "hardware_concurrency": report.get("hardware_concurrency"),
     }
@@ -331,8 +346,100 @@ def cmd_gate(args):
     return 0
 
 
+def load_throughput(path, exporter):
+    """items/sec per benchmark row of one report, after compare's input
+    checks. exporter is None when no side may carry the live-exporter stamp,
+    True for the measured side of an --exporter comparison (the stamp is
+    required, or the gate would measure nothing) and False for its
+    baseline. Reports predating the pmu fields read as unstamped."""
+    report = load_report(path)
+    pmu = report.get("pmu")
+    if isinstance(pmu, dict) and pmu.get("sampling_active"):
+        raise BadInput(
+            f"{path}: recorded with the sampling profiler active "
+            f"(--profile-out=); rerun without profiling flags"
+        )
+    stamped = exporter_stamped(report)
+    if exporter is None and stamped:
+        raise BadInput(
+            f"{path}: recorded with a live introspection exporter "
+            f"(--listen=); rerun without it, or pass --exporter to gate "
+            f"the exporter itself"
+        )
+    if exporter is True and not stamped:
+        raise BadInput(
+            f"{path}: --exporter needs the measured side recorded with a "
+            f"live exporter (--listen= and pmu.exporter_active set)"
+        )
+    if exporter is False and stamped:
+        raise BadInput(
+            f"{path}: the baseline of an --exporter comparison must be "
+            f"recorded without a live exporter"
+        )
+    rows = report.get("benchmarks")
+    if not isinstance(rows, list) or not rows:
+        raise BadInput(f"{path}: no benchmarks array")
+    out = {}
+    for row in rows:
+        name = row.get("name") if isinstance(row, dict) else None
+        ips = row.get("items_per_second") if isinstance(row, dict) else None
+        if not isinstance(name, str) or not isinstance(ips, (int, float)):
+            raise BadInput(
+                f"{path}: benchmark rows need string 'name' and numeric "
+                f"'items_per_second'"
+            )
+        out[name] = float(ips)
+    return out
+
+
+def median_throughput(paths, exporter):
+    """Per-row median items/sec across one side's repeated runs."""
+    collected = {}
+    for path in paths:
+        for name, ips in load_throughput(path, exporter).items():
+            collected.setdefault(name, []).append(ips)
+    return {name: median(v) for name, v in collected.items()}
+
+
+def cmd_compare(args):
+    baseline = median_throughput(
+        args.baseline, False if args.exporter else None
+    )
+    measured = median_throughput(
+        args.measured, True if args.exporter else None
+    )
+    missing = sorted(set(baseline) - set(measured))
+    if missing:
+        raise BadInput(f"measured reports lack benchmarks: {missing}")
+
+    worst = 0.0
+    failed = False
+    print(f"{'benchmark':<28} {'baseline':>12} {'measured':>12} {'delta':>8}")
+    for name, base_ips in sorted(baseline.items()):
+        if base_ips <= 0:
+            raise BadInput(f"baseline throughput for {name} is {base_ips}")
+        # Positive = measured side is slower.
+        slowdown = (base_ips - measured[name]) / base_ips
+        worst = max(worst, slowdown)
+        bad = slowdown > args.max_regression
+        failed = failed or bad
+        print(
+            f"{name:<28} {base_ips:12.3e} {measured[name]:12.3e} "
+            f"{slowdown:+7.1%} {'FAIL' if bad else 'OK'}"
+        )
+    print(
+        f"\nworst slowdown: {worst:+.1%} "
+        f"(budget {args.max_regression:.0%})"
+    )
+    if failed:
+        what = "exporter overhead" if args.exporter else "slowdown"
+        print(f"compare: {what} exceeds budget", file=sys.stderr)
+        return 1
+    return 0
+
+
 # ---------------------------------------------------------------------------
-# Self-test: synthetic reports through the real append/gate paths.
+# Self-test: synthetic reports through the real append/gate/compare paths.
 
 
 def _fake_report(ips_scale=1.0, phase_secs=None, profiles_ipc=None):
@@ -345,7 +452,7 @@ def _fake_report(ips_scale=1.0, phase_secs=None, profiles_ipc=None):
         "bench": "engine",
         "quick": True,
         "hardware_concurrency": 1,
-        "build": {"type": "release", "telemetry": False},
+        "build": {"type": "release"},
         "benchmarks": [
             {"name": "agent_serial_step",
              "items_per_second": 4.0e7 * ips_scale},
@@ -475,21 +582,23 @@ def cmd_selftest(_args):
             )
 
         def test_malformed_input():
-            broken = os.path.join(tmp, "broken.json")
-            with open(broken, "w", encoding="utf-8") as fh:
-                fh.write("{not json")
-            try:
-                load_report(broken)
-            except BadInput:
-                return
-            raise AssertionError("malformed JSON must raise BadInput")
+            for text in ("{not json", '{"schema": "something-else/1"}'):
+                broken = os.path.join(tmp, "broken.json")
+                with open(broken, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                try:
+                    load_report(broken)
+                except BadInput:
+                    continue
+                raise AssertionError(f"{text!r} must raise BadInput")
 
         def test_missing_input():
-            try:
-                load_report(os.path.join(tmp, "nope.json"))
-            except BadInput:
-                return
-            raise AssertionError("missing file must raise BadInput")
+            for path in (os.path.join(tmp, "nope.json"), "/nonexistent/r.json"):
+                try:
+                    load_report(path)
+                except BadInput:
+                    continue
+                raise AssertionError(f"missing {path} must raise BadInput")
 
         def test_torn_trailing_line_is_skipped():
             # A kill -9 mid-append leaves a half-written last line; the
@@ -571,6 +680,103 @@ def cmd_selftest(_args):
                 "a no-PMU report must gate cleanly vs PMU history"
             )
 
+        def compare(base, measured, exporter=False):
+            """Exit code of `compare` (2 = bad input) on two lists of
+            report dicts."""
+            def paths(side, reports):
+                out = []
+                for i, report in enumerate(reports):
+                    out.append(os.path.join(tmp, f"cmp_{side}{i}.json"))
+                    with open(out[-1], "w", encoding="utf-8") as fh:
+                        json.dump(report, fh)
+                return out
+
+            ns = argparse.Namespace(
+                baseline=paths("base", base),
+                measured=paths("meas", measured),
+                exporter=exporter,
+                max_regression=0.05,
+            )
+            try:
+                return cmd_compare(ns)
+            except BadInput as err:
+                print(f"    (bad input: {err})")
+                return 2
+
+        def run(scale, **pmu):
+            report = _fake_report(ips_scale=scale)
+            if pmu:
+                report["pmu"] = {"available": True, **pmu}
+            return report
+
+        def test_compare_within_budget():
+            assert compare([run(1.0)], [run(0.97)]) == 0, (
+                "3% slowdown must pass a 5% budget"
+            )
+
+        def test_compare_over_budget():
+            assert compare([run(1.0)], [run(0.90)]) == 1, (
+                "10% slowdown must fail a 5% budget"
+            )
+
+        def test_compare_faster_passes():
+            assert compare([run(1.0)], [run(1.20)]) == 0, (
+                "a faster measured side must pass"
+            )
+
+        def test_compare_missing_row():
+            short = run(1.0)
+            short["benchmarks"] = short["benchmarks"][:1]
+            assert compare([run(1.0)], [short]) == 2, (
+                "a baseline row missing from the measured side is bad input"
+            )
+
+        def test_compare_sampling_rejected():
+            assert compare([run(1.0)], [run(1.0, sampling_active=True)]) == 2, (
+                "a sampling-active report is bad input"
+            )
+
+        def test_compare_sampling_off_accepted():
+            off = run(1.0, sampling_active=False)
+            assert compare([off], [off]) == 0, "sampling-off reports load"
+
+        def test_compare_median_survives_outliers():
+            # One outlier per side (a 30% throttle, a 25% turbo spike) must
+            # not move the row estimate when the other runs agree.
+            base = [run(1.0), run(0.7), run(0.99)]
+            meas = [run(1.25), run(0.97), run(0.96)]
+            assert compare(base, meas) == 0, "median must drop one outlier"
+
+        def test_compare_median_keeps_regressions():
+            base = [run(1.0), run(0.98), run(0.99)]
+            meas = [run(0.90), run(0.88), run(0.89)]
+            assert compare(base, meas) == 1, (
+                "a slowdown in every run must fail"
+            )
+
+        def test_compare_exporter_rejected_by_default():
+            assert compare([run(1.0)], [run(1.0, exporter_active=True)]) == 2, (
+                "an exporter-stamped report needs --exporter"
+            )
+
+        def test_compare_exporter_accepts_stamped_pair():
+            base = [run(1.0, exporter_active=False)]
+            meas = [run(0.97, exporter_active=True)]
+            assert compare(base, meas, exporter=True) == 0, (
+                "3% exporter overhead must pass a 5% budget"
+            )
+
+        def test_compare_exporter_needs_stamp():
+            assert compare([run(1.0)], [run(1.0)], exporter=True) == 2, (
+                "--exporter needs the stamp on the measured side"
+            )
+
+        def test_compare_exporter_rejects_stamped_baseline():
+            stamped = run(1.0, exporter_active=True)
+            assert compare([stamped], [stamped], exporter=True) == 2, (
+                "--exporter rejects a stamped baseline"
+            )
+
         print("bench_history self-test:")
         for name, fn in [
             ("vacuous pass on short history", test_vacuous_pass),
@@ -580,12 +786,24 @@ def cmd_selftest(_args):
             ("phase-share drift fails", test_share_drift_fails),
             ("new phase set skips share gate", test_new_phase_set_skips_share_gate),
             ("provenance key isolates builds", test_provenance_isolation),
-            ("malformed JSON is a clean error", test_malformed_input),
+            ("malformed JSON or wrong schema is a clean error", test_malformed_input),
             ("missing file is a clean error", test_missing_input),
             ("torn trailing history line is skipped", test_torn_trailing_line_is_skipped),
             ("profile ipc/share columns gate", test_profile_ipc_columns),
             ("exporter-stamped run drops throughput", test_exporter_stamped_drops_throughput),
             ("no-PMU profile rows tolerated", test_no_pmu_rows_tolerated),
+            ("compare: 3% slowdown within 5% budget", test_compare_within_budget),
+            ("compare: 10% slowdown fails", test_compare_over_budget),
+            ("compare: faster measured side passes", test_compare_faster_passes),
+            ("compare: missing row is bad input", test_compare_missing_row),
+            ("compare: sampling-active report rejected", test_compare_sampling_rejected),
+            ("compare: sampling-off report accepted", test_compare_sampling_off_accepted),
+            ("compare: median discards outlier runs", test_compare_median_survives_outliers),
+            ("compare: median keeps real regressions", test_compare_median_keeps_regressions),
+            ("compare: exporter stamp rejected by default", test_compare_exporter_rejected_by_default),
+            ("compare --exporter: accepts stamped pair", test_compare_exporter_accepts_stamped_pair),
+            ("compare --exporter: measured side needs stamp", test_compare_exporter_needs_stamp),
+            ("compare --exporter: rejects stamped baseline", test_compare_exporter_rejects_stamped_baseline),
         ]:
             _run_selftest_case(failures, name, fn)
 
@@ -647,6 +865,33 @@ def main():
         help="trailing entries considered for the median (default 20)",
     )
     p_gate.set_defaults(fn=cmd_gate)
+
+    p_compare = sub.add_parser(
+        "compare",
+        help="fail if the measured reports are slower than the baseline",
+    )
+    p_compare.add_argument(
+        "--baseline", nargs="+", required=True, metavar="REPORT",
+        help="reference reports; the per-row median is compared",
+    )
+    p_compare.add_argument(
+        "--measured", nargs="+", required=True, metavar="REPORT",
+        help="reports under test; the per-row median is compared",
+    )
+    p_compare.add_argument(
+        "--exporter",
+        action="store_true",
+        help="gate exporter overhead: the measured side must be stamped "
+        "pmu.exporter_active (recorded under --listen= with a live poller) "
+        "and the baseline must not",
+    )
+    p_compare.add_argument(
+        "--max-regression",
+        type=float,
+        default=0.05,
+        help="max tolerated relative slowdown per row (default 0.05)",
+    )
+    p_compare.set_defaults(fn=cmd_compare)
 
     p_self = sub.add_parser("self-test", help="run the built-in test cases")
     p_self.set_defaults(fn=cmd_selftest)
