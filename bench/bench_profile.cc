@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   BenchOptions options = parse_bench_options(argc, argv);
   const std::string out_path =
       options.json_path.value_or("BENCH_profile.json");
-  FlightRecorderScope flight_recorder(options.recorder);
+  FlightRecorderScope& flight_recorder = *options.flight_recorder;
 
   const std::uint64_t n = options.quick ? (1u << 14) : (1u << 16);
   const std::uint64_t rounds = options.quick ? 64 : 256;
@@ -97,8 +97,9 @@ int main(int argc, char** argv) {
 
     BackendProfile& profile = profiles.emplace_back();
     profile.backend = backend;
-    telemetry::install_phase_sink(&profile.phases);
-    profile::install_pmu_sink(&profile.pmu);
+    // Ends with the iteration, before the next backend's reference run.
+    const telemetry::ObserverScope observe(
+        {.phases = &profile.phases, .pmu = &profile.pmu});
     profile::CounterSnapshot begin;
     profile::CounterSnapshot end;
     counters.read(begin);
@@ -107,8 +108,6 @@ int main(int argc, char** argv) {
     profile.seconds =
         static_cast<double>(telemetry::clock_now_ns() - start) * 1e-9;
     counters.read(end);
-    profile::install_pmu_sink(nullptr);
-    telemetry::install_phase_sink(nullptr);
 
     profile.total = counters.delta(begin, end);
     profile.agent_steps = result.rounds() * (n - init.sources);

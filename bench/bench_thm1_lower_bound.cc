@@ -72,11 +72,11 @@ void run(const BenchOptions& options) {
   MetricsRegistry registry;
   OutcomeLedger ledger(&registry);
   telemetry::PhaseStats phase_stats;
-  telemetry::install_phase_sink(&phase_stats);
+  const telemetry::ObserverScope observe({.phases = &phase_stats});
   // Flight recorder (--trace-out= / --stream-out=): records the slow-crossing
-  // timeline this bench exists to study. Destroyed (and files written) after
-  // the report.
-  FlightRecorderScope flight_recorder(options.recorder);
+  // timeline this bench exists to study. Owned by the options, so its files
+  // are written after the report.
+  FlightRecorderScope& flight_recorder = *options.flight_recorder;
   const std::uint64_t simulate_start_ns = telemetry::clock_now_ns();
 
   Rng proto_rng(seeds.derive("random-protocol"));
@@ -161,7 +161,6 @@ void run(const BenchOptions& options) {
   const double simulate_seconds =
       static_cast<double>(telemetry::clock_now_ns() - simulate_start_ns) *
       1e-9;
-  telemetry::install_phase_sink(nullptr);
   emit_table(table, options);
 
   std::printf("\nall cells respect the n^{1-eps} floor: %s\n",

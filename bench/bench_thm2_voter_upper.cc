@@ -79,8 +79,7 @@ void run(const BenchOptions& options) {
   MetricsRegistry registry;
   OutcomeLedger ledger(&registry);
   telemetry::PhaseStats phase_stats;
-  telemetry::install_phase_sink(&phase_stats);
-  FlightRecorderScope flight_recorder(options.recorder);
+  const telemetry::ObserverScope observe({.phases = &phase_stats});
 
   Table table({"n", "reps", "mean T", "median", "p90", "T/(n ln n)",
                "dual mean", "dual/(n ln n)"});
@@ -123,7 +122,6 @@ void run(const BenchOptions& options) {
     ns.push_back(static_cast<double>(n));
     means.push_back(m.rounds.mean());
   }
-  telemetry::install_phase_sink(nullptr);
   emit_table(table, options);
 
   const LinearFit fit = loglog_fit(ns, means);
@@ -142,8 +140,8 @@ void run(const BenchOptions& options) {
   reporter.add_phase("simulate", simulate_seconds);
   reporter.add_phase("dual", dual_seconds);
   reporter.add_phase_stats(phase_stats);
-  if (flight_recorder.recorder() != nullptr) {
-    reporter.set_flight_recorder(*flight_recorder.recorder());
+  if (options.flight_recorder->recorder() != nullptr) {
+    reporter.set_flight_recorder(*options.flight_recorder->recorder());
   }
   reporter.set_metrics(registry.snapshot());
   reporter.add_table("voter_convergence", table);

@@ -31,10 +31,10 @@
 //                                   // the stepper (otherwise the session's
 //                                   // counts-level tally is used)
 //
-// Probes. At run start the driver checks whether any probe sink is
-// installed (phase, trace recorder, round sink, PMU). If none is, it runs
-// drive<false>: the same loop body with every driver-side probe — phase
-// timers, PMU scopes, the round stream — removed by `if constexpr`.
+// Probes. At run start the driver reads the observer set once. If no probe
+// sink is set (phase, trace recorder, round sink, PMU), it runs
+// drive<false>: the same loop body with every driver-side probe — one
+// ScopedTimer per phase, the round stream — removed at compile time.
 //
 // The driver NEVER draws randomness: steppers own their Rng or SeedSequence,
 // so the per-(round, block) stream schedule of the sharded engine — and with
@@ -56,6 +56,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/configuration.h"
@@ -63,7 +64,6 @@
 #include "engine/trajectory.h"
 #include "faults/session.h"
 #include "obs/progress.h"
-#include "profile/counters.h"
 #include "snapshot/checkpoint.h"
 #include "telemetry/telemetry.h"
 
@@ -89,24 +89,10 @@ inline constexpr bool kCheckpointable =
       { live.restore(state) } -> std::convertible_to<bool>;
     };
 
-// One driver phase's probes: a wall-clock ScopedTimer beside a PmuScope in
-// the probed loop, an empty object in the probe-free one.
-template <bool kProbed>
-class PhaseProbe {
- public:
-  PhaseProbe(telemetry::Phase phase, profile::PmuPhaseStats* pmu) noexcept
-      : timer_(phase), pmu_(phase, pmu) {}
-
- private:
-  telemetry::ScopedTimer timer_;
-  profile::PmuScope pmu_;
-};
-
-template <>
-class PhaseProbe<false> {
- public:
-  PhaseProbe(telemetry::Phase /*phase*/,
-             profile::PmuPhaseStats* /*pmu*/) noexcept {}
+// drive<false>'s stand-in for telemetry::ScopedTimer: an empty object, so
+// the probe-free loop carries no probe code at all.
+struct NoProbe {
+  explicit NoProbe(telemetry::Phase /*phase*/) noexcept {}
 };
 
 }  // namespace internal
@@ -164,17 +150,14 @@ class RunDriver {
   }
 
  private:
-  // The probe gate, decided once per run: sink installation must not race a
-  // running engine, so the choice holds for the whole run.
+  // The probe gate, decided once per run: observer scopes must not race a
+  // running engine, so the set read here holds for the whole run.
   template <typename Stepper>
   RunResult start(Stepper& stepper, const StopRule& rule,
                   FaultSession* session, Trajectory* trajectory) const {
-    const bool probed = telemetry::phase_sink() != nullptr ||
-                        telemetry::trace_recorder() != nullptr ||
-                        telemetry::round_sink() != nullptr ||
-                        profile::pmu_sink() != nullptr;
-    return probed ? drive<true>(stepper, rule, session, trajectory)
-                  : drive<false>(stepper, rule, session, trajectory);
+    return telemetry::observers.load().probed()
+               ? drive<true>(stepper, rule, session, trajectory)
+               : drive<false>(stepper, rule, session, trajectory);
   }
 
   // Assembles the full RunSnapshot at a parallel-round boundary. Capture
@@ -211,7 +194,9 @@ class RunDriver {
   template <bool kProbed, typename Stepper>
   RunResult drive(Stepper& stepper, const StopRule& rule,
                   FaultSession* session, Trajectory* trajectory) const {
-    using Probe = internal::PhaseProbe<kProbed>;
+    using telemetry::Phase;
+    using Probe = std::conditional_t<kProbed, telemetry::ScopedTimer,
+                                     internal::NoProbe>;
     RunResult result;
     result.unit = policy_.unit;
     result.alpha = policy_.alpha;
@@ -261,15 +246,10 @@ class RunDriver {
       if (session != nullptr) session->observe(0, config);
     }
 
-    // Resolved once per run, like the probe gate: the tightest tick loops
-    // (aggregate rounds are ~250 ns) open up to four probes per tick.
-    profile::PmuPhaseStats* const pmu_stats =
-        kProbed ? profile::pmu_sink() : nullptr;
-
-    // Live-progress publisher (obs/progress.h), resolved once like the PMU
-    // sink. With no board installed (no --listen) this is a null check per
-    // round boundary and nothing else; with one, it publishes a seqlock
-    // record at an adaptive stride the introspection server reads.
+    // Live-progress publisher (obs/progress.h). With no board (no --listen)
+    // this is a null check per round boundary and nothing else; with one, it
+    // publishes a seqlock record at an adaptive stride the introspection
+    // server reads.
     const char* progress_tag = "engine";
     if constexpr (requires {
                     { Stepper::kSnapshotTag } -> std::convertible_to<
@@ -301,14 +281,14 @@ class RunDriver {
       // Source flips land on entry to a parallel round.
       if (session != nullptr && tick % tpr == 0 &&
           session->flip_due(tick / tpr)) {
-        const Probe probe(telemetry::Phase::kFaultApply, pmu_stats);
+        const Probe probe(Phase::kFaultApply);
         session->apply_flip(tick / tpr, stepper.config());
         if constexpr (requires { stepper.sync_flip(); }) {
           stepper.sync_flip();
         }
       }
       {
-        const Probe probe(telemetry::Phase::kStopCheck, pmu_stats);
+        const Probe probe(Phase::kStopCheck);
         std::optional<StopReason> reason;
         if constexpr (requires { stepper.evaluate(rule); }) {
           reason = stepper.evaluate(rule);
@@ -328,17 +308,17 @@ class RunDriver {
         break;
       }
       {
-        // The PMU scope counts the driver thread: exact for single-threaded
-        // steppers; under pool fan-out the workers' kernel sub-phase probes
-        // carry the worker-side attribution.
-        const Probe probe(telemetry::Phase::kRoundStep, pmu_stats);
+        // The probe's PMU delta counts the driver thread: exact for
+        // single-threaded steppers; under pool fan-out the workers' kernel
+        // sub-phase probes carry the worker-side attribution.
+        const Probe probe(Phase::kRoundStep);
         stepper.step(tick);
       }
       ++tick;
       if (tick % tpr == 0) {
         const std::uint64_t round = tick / tpr;
         if (session != nullptr) {
-          const Probe probe(telemetry::Phase::kFaultApply, pmu_stats);
+          const Probe probe(Phase::kFaultApply);
           if constexpr (requires { stepper.end_round(round); }) {
             stepper.end_round(round);
           }

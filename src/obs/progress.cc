@@ -12,8 +12,6 @@ namespace obs {
 
 namespace {
 
-std::atomic<ProgressBoard*> g_board{nullptr};
-
 // Stride adaptation targets roughly this many publishes per second: frequent
 // enough that a 1 Hz poller never reads a stale round, rare enough that even
 // a 40 ns aggregate round pays only a compare per round.
@@ -22,14 +20,6 @@ constexpr double kMaxPublishGapSeconds = 0.25;
 constexpr std::uint64_t kMaxStride = std::uint64_t{1} << 20;
 
 }  // namespace
-
-void install_progress_board(ProgressBoard* board) noexcept {
-  g_board.store(board, std::memory_order_release);
-}
-
-ProgressBoard* progress_board() noexcept {
-  return g_board.load(std::memory_order_acquire);
-}
 
 std::size_t ProgressBoard::claim(const char* engine, std::uint64_t max_rounds,
                                  std::uint64_t n, bool faulty,
@@ -156,7 +146,7 @@ std::vector<ProgressRecord> ProgressBoard::read() const {
 RunProgressScope::RunProgressScope(const char* engine,
                                    std::uint64_t max_rounds, std::uint64_t n,
                                    bool faulty) noexcept
-    : board_(progress_board()) {
+    : board_(telemetry::observers.progress.load(std::memory_order_acquire)) {
   if (board_ == nullptr) return;
   const std::uint64_t now = telemetry::clock_now_ns();
   slot_ = board_->claim(engine, max_rounds, n, faulty, now);

@@ -16,16 +16,16 @@
 // on.
 //
 // Cost discipline (the --listen acceptance bar):
-//  - No board installed: a RunProgressScope is one relaxed pointer load at
+//  - No board set: a RunProgressScope is one relaxed pointer load at
 //    construction; on_round() is a null check. Zero atomics in the loop.
-//  - Board installed: on_round() is one comparison per round until the
+//  - Board set: on_round() is one comparison per round until the
 //    publish stride elapses; a publish is one clock read plus ~16 relaxed
 //    stores. The stride adapts toward ~10 publishes/sec, so a 40 ns
 //    aggregate round and a 100 ms population round both pay ~nothing.
 //
-// Unlike the telemetry sinks this layer is NOT part of RunDriver's probe
-// gate: progress is how an operator watches a probe-free run too, and a
-// dozen relaxed stores per publish window need no switch.
+// Unlike the probe sinks this field is NOT part of RunDriver's probe gate:
+// progress is how an operator watches a probe-free run too, and a dozen
+// relaxed stores per publish window need no switch.
 #ifndef BITSPREAD_OBS_PROGRESS_H_
 #define BITSPREAD_OBS_PROGRESS_H_
 
@@ -124,17 +124,11 @@ class ProgressBoard {
   std::atomic<std::uint64_t> finished_{0};
 };
 
-// Installs (or, with nullptr, removes) the process-wide board. Same
-// ownership contract as the telemetry sinks: the caller keeps the board
-// alive until uninstalled, and installation must not race a running engine.
-// Works in every build.
-void install_progress_board(ProgressBoard* board) noexcept;
-ProgressBoard* progress_board() noexcept;
-
 // Per-run publisher, constructed by RunDriver::drive(). Resolves the board
-// once; when none is installed every method is a null check. When one is
-// installed, on_round() publishes at an adaptive stride so the per-round
-// cost amortizes to ~nothing regardless of round duration.
+// (the `progress` field of the observer set, telemetry/telemetry.h) once;
+// when none is set every method is a null check. When one is set,
+// on_round() publishes at an adaptive stride so the per-round cost
+// amortizes to ~nothing regardless of round duration.
 class RunProgressScope {
  public:
   RunProgressScope(const char* engine, std::uint64_t max_rounds,

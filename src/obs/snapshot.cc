@@ -10,7 +10,8 @@ MetricsSnapshot capture_metrics(MetricsRegistry& registry) {
   snap.captured_ns = telemetry::clock_now_ns();
   snap.registry = registry.snapshot();
 
-  if (const telemetry::PhaseStats* phases = telemetry::phase_sink()) {
+  const telemetry::ObserverSet observed = telemetry::observers.load();
+  if (const telemetry::PhaseStats* phases = observed.phases) {
     snap.phases_present = true;
     for (int i = 0; i < telemetry::kPhaseCount; ++i) {
       const auto phase = static_cast<telemetry::Phase>(i);
@@ -19,7 +20,7 @@ MetricsSnapshot capture_metrics(MetricsRegistry& registry) {
     }
   }
 
-  if (const profile::PmuPhaseStats* pmu = profile::pmu_sink()) {
+  if (const profile::PmuPhaseStats* pmu = observed.pmu) {
     snap.pmu_present = true;
     snap.pmu_backed = pmu->pmu_backed();
     for (int i = 0; i < telemetry::kPhaseCount; ++i) {
@@ -39,7 +40,7 @@ MetricsSnapshot capture_metrics(MetricsRegistry& registry) {
     }
   }
 
-  if (const ProgressBoard* board = progress_board()) {
+  if (const ProgressBoard* board = observed.progress) {
     snap.runs = board->read();
     snap.runs_started = board->runs_started();
     snap.runs_finished = board->runs_finished();

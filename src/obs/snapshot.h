@@ -57,8 +57,8 @@ struct MetricsSnapshot {
   std::uint64_t captured_ns = 0;  // Steady-clock ns at capture.
 };
 
-// Captures from `registry` plus whatever sinks/board are installed
-// process-wide. Safe to call from any thread at any time.
+// Captures from `registry` plus whatever phase sink, PMU sink and board the
+// process-wide observer set holds. Safe to call from any thread at any time.
 MetricsSnapshot capture_metrics(
     MetricsRegistry& registry = MetricsRegistry::global());
 

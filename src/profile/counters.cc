@@ -4,19 +4,6 @@
 
 namespace bitspread {
 namespace profile {
-namespace {
-
-std::atomic<PmuPhaseStats*> g_pmu_sink{nullptr};
-
-}  // namespace
-
-void install_pmu_sink(PmuPhaseStats* sink) noexcept {
-  g_pmu_sink.store(sink, std::memory_order_release);
-}
-
-PmuPhaseStats* pmu_sink() noexcept {
-  return g_pmu_sink.load(std::memory_order_relaxed);
-}
 
 void KernelBlockProfiler::mark(bool opening, telemetry::Phase next) noexcept {
   const std::uint64_t now_ns = telemetry::clock_now_ns();

@@ -1,4 +1,5 @@
-// Per-phase hardware-counter attribution: the PMU sink and its probes.
+// Per-phase hardware-counter attribution: the PMU sink and the kernel
+// sub-phase markers.
 //
 // This is the third sink beside PhaseStats (nanoseconds) and the
 // TraceRecorder (timelines): a PmuPhaseStats accumulates multiplex-scaled
@@ -7,13 +8,13 @@
 // LLC-miss-per-agent-step for exactly the regions the wall-clock probes
 // already name.
 //
-// The probes obey the same runtime gate as ScopedTimer
-// (telemetry/telemetry.h): they are dormant until install_pmu_sink() points
-// at a PmuPhaseStats, and an unsinked probe never issues a read(2). An
-// installed PMU sink is one of the sinks RunDriver checks once at run start
-// to choose its probed loop; with no sink at all, the driver's PmuScopes are
-// compiled out of the probe-free instantiation, and a KernelBlockProfiler
-// costs two pointer loads per block plus a predicted branch per marker.
+// It is the `pmu` field of the observer set (telemetry/telemetry.h) and
+// obeys the same runtime gate: telemetry::ScopedTimer adds a counter delta
+// per phase only while an ObserverScope sets a PmuPhaseStats, and an
+// unsinked probe never issues a read(2). A set PMU sink is one of the sinks
+// RunDriver checks once at run start to choose its probed loop; with no
+// sink at all, a KernelBlockProfiler costs two pointer loads per block plus
+// a predicted branch per marker.
 //
 // Attribution is per-thread by construction: every probe reads the calling
 // thread's counter set (profile::thread_counters()), so kernel blocks
@@ -118,12 +119,6 @@ class PmuPhaseStats {
   std::atomic<bool> pmu_backed_{false};
 };
 
-// Installs (or, with nullptr, removes) the process-wide PMU sink. Same
-// ownership contract as install_phase_sink: the caller keeps the sink alive
-// until uninstalled, and installation must not race a running engine.
-void install_pmu_sink(PmuPhaseStats* sink) noexcept;
-PmuPhaseStats* pmu_sink() noexcept;
-
 // JSON rendering of a sink's totals (the --pmu-out= payload and the
 // "profiles" rows of bench_profile): one row per phase with samples,
 // wall seconds, each counted counter, derived IPC, and multiplex/fallback
@@ -131,45 +126,18 @@ PmuPhaseStats* pmu_sink() noexcept;
 JsonValue pmu_stats_to_json(const PmuPhaseStats& stats, bool pmu_available,
                             const char* unavailable_reason);
 
-// RAII probe: attributes the counter delta over its lifetime to `phase` on
-// `sink` (one read(2) pair; nothing when `sink` is null). Used by the
-// RunDriver beside its ScopedTimers, with the sink resolved once per run.
-class PmuScope {
- public:
-  PmuScope(telemetry::Phase phase, PmuPhaseStats* sink) noexcept
-      : sink_(sink), phase_(phase) {
-    if (sink_ != nullptr) {
-      set_ = &thread_counters();
-      set_->read(begin_);
-    }
-  }
-  ~PmuScope() {
-    if (sink_ == nullptr) return;
-    CounterSnapshot end;
-    set_->read(end);
-    sink_->add(phase_, set_->delta(begin_, end));
-  }
-  PmuScope(const PmuScope&) = delete;
-  PmuScope& operator=(const PmuScope&) = delete;
-
- private:
-  PmuPhaseStats* sink_;
-  PmuCounterSet* set_ = nullptr;
-  telemetry::Phase phase_;
-  CounterSnapshot begin_;
-};
-
 // Sub-phase marker for the kernel hot loop. The sink pointers are resolved
 // ONCE per block (the word loop calls enter() several times per 64-agent
 // word, so per-call atomic loads would be the dominant cost); when neither
-// the wall-clock nor the PMU sink is installed every call is a predicted
-// no-op branch. PMU reads happen only when the PMU sink is installed;
+// the wall-clock nor the PMU sink is set every call is a predicted no-op
+// branch. PMU reads happen only when the PMU sink is set;
 // wall-clock nanoseconds also feed the plain phase sink so `phases` rows
 // carry the sub-phase split even on no-PMU hosts.
 class KernelBlockProfiler {
  public:
   KernelBlockProfiler() noexcept
-      : pmu_(pmu_sink()), phases_(telemetry::phase_sink()) {
+      : pmu_(telemetry::observers.pmu.load(std::memory_order_acquire)),
+        phases_(telemetry::observers.phases.load(std::memory_order_acquire)) {
     active_ = pmu_ != nullptr || phases_ != nullptr;
     if (active_) {
       if (pmu_ != nullptr) {

@@ -74,6 +74,8 @@ BenchOptions parse_bench_options(int argc, char** argv) {
       std::cerr << "warning: unknown option '" << arg << "' ignored\n";
     }
   }
+  options.flight_recorder =
+      std::make_unique<FlightRecorderScope>(options.recorder);
   return options;
 }
 
@@ -196,12 +198,11 @@ FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
       options_.listen_requested() || checkpointer_ != nullptr) {
     snapshot::install_interrupt_handlers();
   }
-  // Introspection server (--listen=). The board is installed before any
-  // run starts so every RunDriver claims a progress slot; the hub feeds
-  // /stream from the round sink.
+  // Introspection server (--listen=). The board is set before any run
+  // starts so every RunDriver claims a progress slot; the hub feeds /stream
+  // from the round sink.
   if (options_.listen_requested()) {
     progress_board_ = std::make_unique<obs::ProgressBoard>();
-    obs::install_progress_board(progress_board_.get());
     stream_hub_ = std::make_unique<obs::StreamHub>();
     obs::ServerOptions server_options;
     server_options.listen = *options_.listen;
@@ -211,7 +212,6 @@ FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
       std::cerr << "[obs] " << server_->error() << "; exporter disabled\n";
       server_.reset();
       stream_hub_.reset();
-      obs::install_progress_board(nullptr);
       progress_board_.reset();
     }
   }
@@ -219,7 +219,6 @@ FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
     // Touching the main thread's counter set here (not in the destructor)
     // surfaces a perf_event_open failure before the run, not after it.
     profile::thread_counters();
-    profile::install_pmu_sink(&pmu_stats_);
   }
   if (options_.profile_out) {
     // Sampling needs no installed sink and no PMU — SIGPROF + frame
@@ -232,7 +231,6 @@ FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
       profiler_.reset();
     }
   }
-  if (!options_.requested() && stream_hub_ == nullptr) return;
   // Deliberately NO exporter-owned phase sink: an installed PhaseStats
   // activates every ScopedTimer and the per-word kernel sub-phase markers,
   // and on engines whose rounds are O(1) (aggregate: ~200ns/round) the
@@ -245,7 +243,6 @@ FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
     telemetry::TraceRecorder::Options trace_options;
     trace_options.capacity = options_.trace_buffer;
     recorder_ = std::make_unique<telemetry::TraceRecorder>(trace_options);
-    telemetry::install_trace_recorder(recorder_.get());
   }
   if (options_.stream_out) {
     telemetry::RoundStream::Options stream_options;
@@ -267,12 +264,16 @@ FlightRecorderScope::FlightRecorderScope(FlightRecorderOptions options)
   }
   // One round sink: the hub (teeing to the file stream AND /stream
   // subscribers) when the server is up, the file stream alone otherwise.
+  telemetry::RoundSink* rounds = stream_.get();
   if (stream_hub_ != nullptr) {
     stream_hub_->set_inner(stream_.get());
-    telemetry::install_round_sink(stream_hub_.get());
-  } else if (stream_ != nullptr) {
-    telemetry::install_round_sink(stream_.get());
+    rounds = stream_hub_.get();
   }
+  observers_.emplace(telemetry::ObserverSet{
+      .trace = recorder_.get(),
+      .rounds = rounds,
+      .pmu = options_.pmu_out ? &pmu_stats_ : nullptr,
+      .progress = progress_board_.get()});
 }
 
 void FlightRecorderScope::set_bias(std::function<double(double)> bias) {
@@ -280,17 +281,15 @@ void FlightRecorderScope::set_bias(std::function<double(double)> bias) {
 }
 
 FlightRecorderScope::~FlightRecorderScope() {
-  // The server goes down FIRST so no scrape races the sink teardown below,
-  // then the hub is uninstalled before the file stream flushes.
+  // The server goes down FIRST so no scrape races the observer teardown,
+  // then every observer is restored at once, before any file is written.
   if (server_ != nullptr) {
     std::cerr << "[obs] exporter on http://" << server_->address() << ":"
               << server_->port() << " served " << server_->scrapes()
               << " scrape(s)]\n";
     server_.reset();
   }
-  if (stream_hub_ != nullptr) {
-    telemetry::install_round_sink(nullptr);
-  }
+  observers_.reset();
   if (profiler_ != nullptr) {
     profiler_->stop();
     if (profiler_->write_folded(*options_.profile_out)) {
@@ -304,7 +303,6 @@ FlightRecorderScope::~FlightRecorderScope() {
     }
   }
   if (options_.pmu_out) {
-    profile::install_pmu_sink(nullptr);
     const profile::PmuCounterSet& set = profile::thread_counters();
     std::ofstream out(*options_.pmu_out);
     if (out) {
@@ -320,7 +318,6 @@ FlightRecorderScope::~FlightRecorderScope() {
     }
   }
   if (recorder_ != nullptr) {
-    telemetry::install_trace_recorder(nullptr);
     if (recorder_->write_chrome_trace(*options_.trace_out)) {
       std::cerr << "[trace written to " << *options_.trace_out << ": "
                 << recorder_->stored() << " events across "
@@ -336,7 +333,6 @@ FlightRecorderScope::~FlightRecorderScope() {
     }
   }
   if (stream_ != nullptr) {
-    telemetry::install_round_sink(nullptr);
     if (stream_->flush()) {
       std::cerr << "[stream written to " << *options_.stream_out << ": "
                 << stream_->lines() << " lines from " << stream_->rounds_seen()
@@ -355,19 +351,15 @@ FlightRecorderScope::~FlightRecorderScope() {
                 << checkpointer_->options().ring << ")]\n";
     }
   }
-  if (progress_board_ != nullptr) {
-    obs::install_progress_board(nullptr);
-  }
 }
 
 ExampleTelemetryScope::ExampleTelemetryScope(ExampleOptions options)
-    : options_(std::move(options)), flight_recorder_(options_.recorder) {
-  if (options_.trace) telemetry::install_phase_sink(&stats_);
-}
+    : options_(std::move(options)),
+      flight_recorder_(options_.recorder),
+      observers_({.phases = options_.trace ? &stats_ : nullptr}) {}
 
 ExampleTelemetryScope::~ExampleTelemetryScope() {
   if (options_.trace) {
-    telemetry::install_phase_sink(nullptr);
     std::cerr << "\nphase trace (engine-side, wall time):\n";
     for (int i = 0; i < telemetry::kPhaseCount; ++i) {
       const auto phase = static_cast<telemetry::Phase>(i);

@@ -70,7 +70,6 @@ struct RunResult;
 
 namespace obs {
 class IntrospectionServer;
-class ProgressBoard;
 class StreamHub;
 }  // namespace obs
 
@@ -110,16 +109,22 @@ struct FlightRecorderOptions {
   bool parse_flag(const std::string& arg);
 };
 
+class FlightRecorderScope;
+
 struct BenchOptions {
   bool quick = false;
   std::uint64_t seed = 0;
   std::optional<int> replicates;
   std::optional<std::string> json_path;
   FlightRecorderOptions recorder;
+  // Makes `recorder` take effect for as long as the options live (a bench's
+  // whole main), so no bench can leave the flags unhonoured.
+  std::unique_ptr<FlightRecorderScope> flight_recorder;
 
   int reps_or(int dflt) const noexcept { return replicates.value_or(dflt); }
 };
 
+// Parses the flags and opens the flight-recorder scope they ask for.
 BenchOptions parse_bench_options(int argc, char** argv);
 
 // Prints the table to stdout. (The BenchOptions parameter is kept so call
@@ -184,12 +189,12 @@ struct ExampleOptions {
 
 ExampleOptions parse_example_options(int argc, char** argv);
 
-// RAII scope for the flight recorder: when the options request any output,
-// installs a TraceRecorder (and a RoundStream when --stream-out= was given)
-// for the scope's lifetime; the destructor uninstalls both, writes the
-// Chrome trace file, flushes the stream, and reports what was written (with
-// the dropped-event count) on stderr. Construct before the run, destroy
-// after — installation must not race an engine.
+// RAII scope for the recorder flags: one ObserverScope sets the trace
+// recorder, round stream, PMU sink and --listen board/hub the options ask
+// for. The destructor stops the server, restores the observer set, writes
+// the Chrome trace file, flushes the stream, and reports what was written
+// (with the dropped-event count) on stderr. Construct before the run,
+// destroy after — observer scopes must not race an engine.
 //
 // The scope also owns the checkpoint lifecycle (--checkpoint-out=/--resume=;
 // independent of telemetry): the Checkpointer is created and a resume
@@ -219,12 +224,6 @@ class FlightRecorderScope {
     return checkpointer_.get();
   }
 
-  // The PMU sink active for this scope, or nullptr when --pmu-out= is off
-  // (benches embed its totals in their JSON reports).
-  profile::PmuPhaseStats* pmu_stats() noexcept {
-    return options_.pmu_out ? &pmu_stats_ : nullptr;
-  }
-
   // True while the SIGPROF sampling profiler is running (--profile-out=).
   // Benches record this in their reports so `bench_history.py compare` can
   // reject overhead measurements taken with sampling interrupts firing.
@@ -244,24 +243,25 @@ class FlightRecorderScope {
   std::unique_ptr<telemetry::TraceRecorder> recorder_;
   std::unique_ptr<telemetry::RoundStream> stream_;
   // Profiling (--pmu-out= / --profile-out=): the PMU sink lives here so the
-  // destructor can render it after uninstalling; the sampling profiler is
-  // started last and stopped first.
+  // destructor can render it once the observer set is restored; the
+  // sampling profiler is started last and stopped first.
   profile::PmuPhaseStats pmu_stats_;
   std::unique_ptr<profile::SamplingProfiler> profiler_;
   // Introspection (--listen=): the progress board RunDrivers publish into,
   // the hub that tees the round stream to /stream subscribers, and the
   // HTTP server itself. The server only reads; it is stopped FIRST in the
-  // destructor so no scrape observes half-deinstalled sinks. No phase sink
-  // is installed for --listen alone — /metrics carries phase rows exactly
-  // when the binary opted into probes itself (--trace, bench_profile) —
-  // because an always-on sink would activate per-round and per-word clock
-  // reads that cost far more than the 5% exporter budget on fast engines.
+  // destructor, before the observer set is restored. No phase sink is set
+  // for --listen alone — /metrics carries phase rows exactly when the
+  // binary opted into probes itself (--trace, bench_profile) — because an
+  // always-on sink would activate per-round and per-word clock reads that
+  // cost far more than the 5% exporter budget on fast engines.
   std::unique_ptr<obs::ProgressBoard> progress_board_;
   std::unique_ptr<obs::StreamHub> stream_hub_;
   std::unique_ptr<obs::IntrospectionServer> server_;
+  std::optional<telemetry::ObserverScope> observers_;  // All of the above.
 };
 
-// RAII scope for an example binary's telemetry flags: --trace installs a
+// RAII scope for an example binary's telemetry flags: --trace sets a
 // PhaseStats sink for the scope's lifetime and prints the per-phase table on
 // destruction; --metrics-out dumps the global registry as JSON; the
 // flight-recorder flags (--trace-out= etc.) are handled by an embedded
@@ -278,6 +278,7 @@ class ExampleTelemetryScope {
   ExampleOptions options_;
   telemetry::PhaseStats stats_;
   FlightRecorderScope flight_recorder_;
+  telemetry::ObserverScope observers_;  // Nests in flight_recorder_'s.
 };
 
 }  // namespace bitspread

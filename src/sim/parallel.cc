@@ -113,7 +113,8 @@ void WorkerPool::worker_main(unsigned slot, std::uint64_t spawn_generation) {
     const std::uint64_t busy_end_ns = telemetry::clock_now_ns();
     // Reuses the two clock reads already taken for busy_ns accounting: an
     // installed flight recorder costs the pool no extra clock traffic.
-    if (telemetry::TraceRecorder* recorder = telemetry::trace_recorder()) {
+    if (telemetry::TraceRecorder* recorder =
+            telemetry::observers.trace.load(std::memory_order_acquire)) {
       recorder->span("worker_busy", woke_ns, busy_end_ns);
     }
     WorkerStats& stats = worker_stats_[slot];

@@ -10,12 +10,12 @@
 // corrupt file, because silently losing progress is exactly what this
 // subsystem exists to prevent.
 //
-// Installation follows the telemetry-sink idiom: install_checkpointer()
-// publishes one Checkpointer process-wide and every RunDriver consults it.
-// A driver whose stepper lacks the snapshot hooks simply ignores it. The
-// Checkpointer never touches an RNG stream and never mutates run state, so
-// (like the flight recorder) it provably cannot perturb a simulation — the
-// golden payload digests pin this.
+// install_checkpointer() publishes one Checkpointer process-wide and every
+// RunDriver consults it. It is not in the telemetry observer set: it changes
+// what a resumed run does. A driver whose stepper lacks the snapshot hooks
+// simply ignores it. The Checkpointer never touches an RNG stream and never
+// mutates run state, so (like the flight recorder) it provably cannot
+// perturb a simulation — the golden payload digests pin this.
 //
 // Interrupt protocol (SIGINT/SIGTERM): a signal handler calls
 // request_interrupt(); every RunDriver polls the flag at parallel-round
@@ -119,7 +119,7 @@ class Checkpointer {
 
 // Process-wide checkpointer (nullptr = checkpointing off). Not owned;
 // install for the duration of the runs it should observe, uninstall (pass
-// nullptr) before destroying — the CheckpointScope in sim/cli.h does both.
+// nullptr) before destroying — the FlightRecorderScope in sim/cli.h does both.
 void install_checkpointer(Checkpointer* checkpointer) noexcept;
 Checkpointer* active_checkpointer() noexcept;
 

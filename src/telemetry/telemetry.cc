@@ -29,9 +29,5 @@ const char* phase_name(Phase phase) noexcept {
   return "unknown";
 }
 
-void install_phase_sink(PhaseStats* sink) noexcept {
-  internal::g_phase_sink.store(sink, std::memory_order_release);
-}
-
 }  // namespace telemetry
 }  // namespace bitspread

@@ -1,19 +1,18 @@
-// The round-level phase sink, the flight-recorder hooks, and the RAII timer
-// probe.
+// The observer set (phase sink, flight recorder, round sink, PMU sink,
+// progress board), the scope that installs it, and the one RAII probe.
 //
 // One gate keeps the measurement layer out of the measured system, and it
-// is decided at run time, once per run: RunDriver (engine/run_loop.h) checks
-// at run start whether any probe sink is installed — a PhaseStats
-// (install_phase_sink), a TraceRecorder, a RoundSink, or a PMU sink
-// (profile/counters.h). If none is, it runs the probe-free instantiation of
-// its loop, where every driver-side probe is `if constexpr`-eliminated.
-// Probes inside engine steps stay live in both instantiations; unsinked,
-// each costs two inlined pointer loads and never reads the clock.
+// is decided at run time, once per run: RunDriver (engine/run_loop.h) reads
+// the observer set at run start. If no probe sink is set, it runs the
+// probe-free instantiation of its loop, where every driver-side probe is
+// compiled out. Probes inside engine steps stay live in both
+// instantiations; unsinked, each costs three inlined pointer loads and
+// never reads the clock.
 //
 // The gate cannot perturb simulation results: telemetry reads clocks and
 // bumps counters, and NEVER touches an RNG stream — the probed and the
 // probe-free runs must be bit-identical (tests/telemetry_test.cc pins the
-// golden run payloads with and without sinks installed).
+// golden run payloads with and without observers installed).
 #ifndef BITSPREAD_TELEMETRY_TELEMETRY_H_
 #define BITSPREAD_TELEMETRY_TELEMETRY_H_
 
@@ -21,9 +20,20 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 
+#include "profile/pmu.h"
+
 namespace bitspread {
+
+namespace profile {
+class PmuPhaseStats;
+}  // namespace profile
+namespace obs {
+class ProgressBoard;
+}  // namespace obs
+
 namespace telemetry {
 
 // The instrumented phases of a simulation run. Every engine reports through
@@ -95,52 +105,74 @@ class PhaseStats {
 class TraceRecorder;
 class RoundSink;
 
-namespace internal {
-// The installed sinks. Read through the inline getters below (the probes
-// sit on per-activation paths, where a call per load would be measurable);
-// written only by the install_* functions.
-inline std::atomic<PhaseStats*> g_phase_sink{nullptr};
-inline std::atomic<TraceRecorder*> g_trace_recorder{nullptr};
-inline std::atomic<RoundSink*> g_round_sink{nullptr};
-}  // namespace internal
+// Non-owning observer pointers: what an ObserverScope sets, and a snapshot
+// of the process-wide set.
+struct ObserverSet {
+  PhaseStats* phases = nullptr;
+  TraceRecorder* trace = nullptr;
+  RoundSink* rounds = nullptr;
+  profile::PmuPhaseStats* pmu = nullptr;
+  obs::ProgressBoard* progress = nullptr;
 
-// Installs (or, with nullptr, removes) the process-wide probe sink. The
-// caller owns the sink and must keep it alive until it is uninstalled.
-// Installation must not race a running engine: RunDriver reads the sinks
-// once at run start to pick its probed or probe-free loop.
-void install_phase_sink(PhaseStats* sink) noexcept;
+  bool operator==(const ObserverSet&) const = default;
 
-// The currently installed sink (nullptr when none).
-inline PhaseStats* phase_sink() noexcept {
-  return internal::g_phase_sink.load(std::memory_order_acquire);
-}
+  // The progress board is not a probe: it watches probe-free runs too.
+  bool probed() const noexcept {
+    return phases != nullptr || trace != nullptr || rounds != nullptr ||
+           pmu != nullptr;
+  }
+};
 
-// The flight recorder (trace.h): a per-thread bounded ring of timestamped
-// span/counter/instant events, exported as Chrome trace-event JSON. An
-// installed recorder is the only thing that makes the probes below emit
-// events. The caller owns the recorder and must keep it alive (and
-// quiescent: no engine running) until it is uninstalled.
-void install_trace_recorder(TraceRecorder* recorder) noexcept;
-inline TraceRecorder* trace_recorder() noexcept {
-  return internal::g_trace_recorder.load(std::memory_order_acquire);
-}
+// The process-wide observer set, written only by ObserverScope. One atomic
+// per field, not a published pointer to a scope's struct, so a scrape
+// thread never reads the storage of a scope that has ended.
+struct Observers {
+  std::atomic<PhaseStats*> phases{nullptr};
+  std::atomic<TraceRecorder*> trace{nullptr};
+  std::atomic<RoundSink*> rounds{nullptr};
+  std::atomic<profile::PmuPhaseStats*> pmu{nullptr};
+  std::atomic<obs::ProgressBoard*> progress{nullptr};
+
+  ObserverSet load() const noexcept {
+    return {phases.load(std::memory_order_acquire),
+            trace.load(std::memory_order_acquire),
+            rounds.load(std::memory_order_acquire),
+            pmu.load(std::memory_order_acquire),
+            progress.load(std::memory_order_acquire)};
+  }
+};
+inline Observers observers;
+
+// `ObserverScope scope({.phases = &stats, .pmu = &pmu});` sets the non-null
+// fields and restores the set it found on destruction, so scopes nest: an
+// inner scope overrides only what it sets. The caller keeps every observer
+// alive for the scope. Scopes must not race a running engine and must end
+// in reverse order of construction. Defined in trace.cc: a change of
+// `trace` invalidates the per-thread lane caches there.
+class ObserverScope {
+ public:
+  explicit ObserverScope(const ObserverSet& set) noexcept;
+  ~ObserverScope();
+  ObserverScope(const ObserverScope&) = delete;
+  ObserverScope& operator=(const ObserverScope&) = delete;
+
+ private:
+  ObserverSet previous_;
+  bool sets_trace_;
+};
 
 // Per-round stream sink: engines report (round, X_t, n) once per completed
 // parallel round through record_round(); an installed RoundSink receives the
 // series (jsonl.h turns it into a JSONL stream interleaving X_t, drift, and
-// per-phase nanoseconds). Same ownership rules as the phase sink.
-// on_round() may be called concurrently when replicates run on the pool —
-// implementations must be thread-safe. It must never touch an RNG stream.
+// per-phase nanoseconds). on_round() may be called concurrently when
+// replicates run on the pool — implementations must be thread-safe. It must
+// never touch an RNG stream.
 class RoundSink {
  public:
   virtual ~RoundSink() = default;
   virtual void on_round(std::uint64_t round, std::uint64_t ones,
                         std::uint64_t n) = 0;
 };
-void install_round_sink(RoundSink* sink) noexcept;
-inline RoundSink* round_sink() noexcept {
-  return internal::g_round_sink.load(std::memory_order_acquire);
-}
 
 // Round marker: feeds an installed TraceRecorder (counter event "X_t") and
 // an installed RoundSink; two pointer loads when neither is installed.
@@ -151,32 +183,37 @@ void record_round(std::uint64_t round, std::uint64_t ones,
 // `name` must be a string literal (stored by pointer, not copied).
 void record_mark(const char* name) noexcept;
 
-// RAII probe: measures the lifetime of the object and adds it to the
-// installed sink under `phase`; when a TraceRecorder is installed it also
-// records the interval as a trace span. With neither installed it never
-// reads the clock.
+// The one RAII probe: records its lifetime under `phase` as nanoseconds in
+// the phase sink, a span in the trace recorder and the calling thread's
+// counter delta in the PMU sink, each only when that sink is set. With none
+// set it never reads the clock.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Phase phase) noexcept
-      : sink_(phase_sink()),
-        traced_(trace_recorder() != nullptr),
+      : phases_(observers.phases.load(std::memory_order_acquire)),
+        trace_(observers.trace.load(std::memory_order_acquire)),
+        pmu_(observers.pmu.load(std::memory_order_acquire)),
         phase_(phase) {
-    if (sink_ != nullptr || traced_) start_ns_ = clock_now_ns();
+    if (phases_ != nullptr || trace_ != nullptr || pmu_ != nullptr) start();
   }
   ~ScopedTimer() {
-    if (sink_ != nullptr || traced_) record();
+    if (phases_ != nullptr || trace_ != nullptr || pmu_ != nullptr) stop();
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
   // Out of line so unsinked probes on per-activation paths stay a branch.
-  void record() const noexcept;
+  void start() noexcept;
+  void stop() const noexcept;
 
-  PhaseStats* sink_;
-  bool traced_;
+  PhaseStats* phases_;
+  TraceRecorder* trace_;
+  profile::PmuPhaseStats* pmu_;
   Phase phase_;
   std::uint64_t start_ns_ = 0;
+  // Engaged only under a PMU sink, so unsinked probes write no snapshot.
+  std::optional<profile::CounterSnapshot> pmu_begin_;
 };
 
 }  // namespace telemetry

@@ -5,6 +5,8 @@
 #include <set>
 #include <unordered_map>
 
+#include "profile/counters.h"
+
 namespace bitspread {
 namespace telemetry {
 
@@ -42,13 +44,13 @@ struct TraceRecorder::Lane {
 
 namespace {
 
-// Bumped on every install/uninstall so thread-local lane pointers cached
-// against a previous recorder (possibly at a recycled address) are never
-// reused.
+// Bumped whenever an ObserverScope changes the recorder, so thread-local
+// lane pointers cached against a previous recorder (possibly at a recycled
+// address) are never reused.
 std::atomic<std::uint64_t> g_trace_epoch{0};
 
 // The cache is valid only for (this recorder, this epoch): the epoch is
-// bumped on every install/uninstall AND every recorder destruction, so a
+// bumped on every recorder change AND every recorder destruction, so a
 // stale lane pointer — even one whose recorder was freed and the address
 // recycled by a new instance — can never be dereferenced.
 struct ThreadLaneCache {
@@ -328,36 +330,70 @@ std::vector<std::string> validate_chrome_trace(const JsonValue& trace) {
   return errors;
 }
 
-void install_trace_recorder(TraceRecorder* recorder) noexcept {
-  g_trace_epoch.fetch_add(1, std::memory_order_acq_rel);
-  internal::g_trace_recorder.store(recorder, std::memory_order_release);
+namespace {
+
+// Stores `set` into the process-wide set; with `keep_null`, a null field
+// leaves the current value in place.
+void store(const ObserverSet& set, bool keep_null) noexcept {
+  const auto put = [keep_null](auto& field, auto* value) {
+    if (value != nullptr || !keep_null) {
+      field.store(value, std::memory_order_release);
+    }
+  };
+  put(observers.phases, set.phases);
+  put(observers.trace, set.trace);
+  put(observers.rounds, set.rounds);
+  put(observers.pmu, set.pmu);
+  put(observers.progress, set.progress);
 }
 
-void install_round_sink(RoundSink* sink) noexcept {
-  internal::g_round_sink.store(sink, std::memory_order_release);
+}  // namespace
+
+ObserverScope::ObserverScope(const ObserverSet& set) noexcept
+    : previous_(observers.load()), sets_trace_(set.trace != nullptr) {
+  if (sets_trace_) g_trace_epoch.fetch_add(1, std::memory_order_acq_rel);
+  store(set, /*keep_null=*/true);
+}
+
+ObserverScope::~ObserverScope() {
+  if (sets_trace_) g_trace_epoch.fetch_add(1, std::memory_order_acq_rel);
+  store(previous_, /*keep_null=*/false);
 }
 
 void record_round(std::uint64_t round, std::uint64_t ones,
                   std::uint64_t n) noexcept {
-  TraceRecorder* recorder = trace_recorder();
-  RoundSink* sink = round_sink();
+  TraceRecorder* recorder = observers.trace.load(std::memory_order_acquire);
+  RoundSink* sink = observers.rounds.load(std::memory_order_acquire);
   if (recorder == nullptr && sink == nullptr) return;
   if (recorder != nullptr) recorder->counter("X_t", clock_now_ns(), ones);
   if (sink != nullptr) sink->on_round(round, ones, n);
 }
 
 void record_mark(const char* name) noexcept {
-  if (TraceRecorder* recorder = trace_recorder()) {
+  if (TraceRecorder* recorder =
+          observers.trace.load(std::memory_order_acquire)) {
     recorder->instant(name, clock_now_ns());
   }
 }
 
-void ScopedTimer::record() const noexcept {
+// The counter window nests inside the wall-clock window, so the counters
+// see the measured work and not the clock reads.
+void ScopedTimer::start() noexcept {
+  start_ns_ = clock_now_ns();
+  if (pmu_ != nullptr) profile::thread_counters().read(pmu_begin_.emplace());
+}
+
+void ScopedTimer::stop() const noexcept {
+  if (pmu_ != nullptr) {
+    const profile::PmuCounterSet& set = profile::thread_counters();
+    profile::CounterSnapshot end;
+    set.read(end);
+    pmu_->add(phase_, set.delta(*pmu_begin_, end));
+  }
   const std::uint64_t end_ns = clock_now_ns();
-  if (sink_ != nullptr) sink_->add(phase_, end_ns - start_ns_);
-  if (!traced_) return;
-  if (TraceRecorder* recorder = trace_recorder()) {
-    recorder->span(phase_name(phase_), start_ns_, end_ns);
+  if (phases_ != nullptr) phases_->add(phase_, end_ns - start_ns_);
+  if (trace_ != nullptr) {
+    trace_->span(phase_name(phase_), start_ns_, end_ns);
   }
 }
 

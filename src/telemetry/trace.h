@@ -11,18 +11,18 @@
 //     closes, so evicting an event can never strand an unmatched "B" or "E";
 //     the Chrome B/E pairs are reconstructed at export time by a per-lane
 //     sort + stack sweep (RAII guarantees proper nesting per thread).
-//  3. *Dormant until installed.* The probes that feed it — ScopedTimer,
+//  3. *Dormant until set.* The probes that feed it — ScopedTimer,
 //     record_round(), record_mark(), the pool's worker spans — record only
-//     while install_trace_recorder() points at an instance (telemetry.h
-//     describes the one runtime gate). Recording reads clocks and writes
-//     ring slots; it NEVER touches an RNG stream.
+//     while an ObserverScope sets `trace` (telemetry.h describes the one
+//     runtime gate). Recording reads clocks and writes ring slots; it NEVER
+//     touches an RNG stream.
 //
 // Threading: each thread that records gets its own lane (ring) on first use,
 // registered through an epoch-checked thread-local so stale pointers from a
-// previous install cycle are never dereferenced. Rings are single-writer
+// previous recorder are never dereferenced. Rings are single-writer
 // (the owning thread); stats/export must only run while recording threads
-// are quiescent (between runs, or after uninstall) — the same join ordering
-// PhaseStats relies on.
+// are quiescent (between runs, or after the recorder's scope ends) — the
+// same join ordering PhaseStats relies on.
 #ifndef BITSPREAD_TELEMETRY_TRACE_H_
 #define BITSPREAD_TELEMETRY_TRACE_H_
 

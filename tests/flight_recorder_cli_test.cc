@@ -1,6 +1,7 @@
 // End-to-end check that the flight-recorder flags take effect: runs the
 // Theorem 1 bench binary with --trace-out= and --stream-out= and asserts
-// that both files are written and the trace is valid Chrome trace JSON.
+// that both files are written and the trace is valid Chrome trace JSON; then
+// checks that a bench with no recorder code of its own honours them too.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -46,6 +47,16 @@ TEST(FlightRecorderCli, Thm1QuickWritesValidTraceAndStream) {
   const std::vector<std::string> errors =
       telemetry::validate_chrome_trace(*trace);
   EXPECT_TRUE(errors.empty()) << errors.front();
+
+  // bench_prop4_jump opens no recorder scope itself: the one its
+  // BenchOptions own must honour the flags all the same.
+  const std::string prop4 =
+      std::string("\"") + BITSPREAD_PROP4_BENCH + "\" --quick --json=\"" +
+      dir + "/prop4.json\" --trace-out=\"" + dir + "/prop4_trace.json\"" +
+      " --profile-out=\"" + dir + "/prop4.folded\" > /dev/null 2>&1";
+  ASSERT_EQ(std::system(prop4.c_str()), 0) << prop4;
+  EXPECT_TRUE(std::filesystem::exists(dir + "/prop4_trace.json"));
+  EXPECT_TRUE(std::filesystem::exists(dir + "/prop4.folded"));
   std::filesystem::remove_all(dir);
 }
 

@@ -441,7 +441,7 @@ TEST(ProgressBoard, ReadsAreNeverTornUnderConcurrentPublishes) {
 }
 
 TEST(ProgressScope, DormantWithoutBoard) {
-  ASSERT_EQ(obs::progress_board(), nullptr)
+  ASSERT_EQ(telemetry::observers.progress.load(), nullptr)
       << "another test leaked an installed board";
   obs::RunProgressScope scope("aggregate", 100, 64, false);
   EXPECT_FALSE(scope.attached());
@@ -464,10 +464,9 @@ TEST(ProgressScope, BoardDoesNotPerturbRunDigests) {
       snapshot::payload_digest(engine.run(init, rule, 1234));
   {
     obs::ProgressBoard board;
-    obs::install_progress_board(&board);
+    const telemetry::ObserverScope observe({.progress = &board});
     EXPECT_EQ(snapshot::payload_digest(engine.run(init, rule, 1234)), golden)
         << "a progress board must never change simulation output";
-    obs::install_progress_board(nullptr);
     EXPECT_EQ(board.runs_started(), 1u);
     EXPECT_EQ(board.runs_finished(), 1u);
     const auto runs = board.read();
@@ -496,7 +495,7 @@ TEST(ProgressScope, EtaConvergesOnShardedFaultyRun) {
   faults.source_flip_rounds = {100};
 
   obs::ProgressBoard board;
-  obs::install_progress_board(&board);
+  const telemetry::ObserverScope observe({.progress = &board});
   std::atomic<bool> done{false};
   std::chrono::steady_clock::time_point finished_at;
   std::thread runner([&] {
@@ -522,7 +521,6 @@ TEST(ProgressScope, EtaConvergesOnShardedFaultyRun) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   runner.join();
-  obs::install_progress_board(nullptr);
 
   EXPECT_EQ(board.read().at(0).round, rule.max_rounds);
   // Over the run's second half, the median relative ETA error must be
@@ -611,7 +609,7 @@ TEST_F(LiveServerTest, HealthzParsesAndReportsState) {
 
 TEST_F(LiveServerTest, ProgressReportsBoardRuns) {
   obs::ProgressBoard board;
-  obs::install_progress_board(&board);
+  const telemetry::ObserverScope observe({.progress = &board});
   const std::size_t slot = board.claim("aggregate", 1000, 4096, false, 1);
   obs::ProgressRecord record;
   record.active = true;
@@ -627,7 +625,6 @@ TEST_F(LiveServerTest, ProgressReportsBoardRuns) {
   board.publish(slot, record);
 
   const auto doc = JsonValue::parse(http_get(server_->port(), "/progress"));
-  obs::install_progress_board(nullptr);
   ASSERT_TRUE(doc.has_value());
   const JsonValue* schema = doc->find("schema");
   ASSERT_NE(schema, nullptr);
@@ -652,7 +649,7 @@ TEST_F(LiveServerTest, MetricsScrapeValidatesWhileRunsPublish) {
   // Scrapes taken mid-run must stay structurally valid: hammer the board
   // from a writer while scraping repeatedly.
   obs::ProgressBoard board;
-  obs::install_progress_board(&board);
+  const telemetry::ObserverScope observe({.progress = &board});
   const std::size_t slot = board.claim("sharded.faulty", 1u << 20, 64, true, 0);
   std::atomic<bool> stop{false};
   std::thread writer([&] {
@@ -688,11 +685,10 @@ TEST_F(LiveServerTest, MetricsScrapeValidatesWhileRunsPublish) {
   }
   stop.store(true);
   writer.join();
-  obs::install_progress_board(nullptr);
 }
 
 TEST_F(LiveServerTest, StreamDeliversLiveRounds) {
-  telemetry::install_round_sink(&hub_);
+  const telemetry::ObserverScope observe({.rounds = &hub_});
   std::atomic<bool> stop{false};
   std::thread producer([&] {
     std::uint64_t round = 0;
@@ -706,7 +702,6 @@ TEST_F(LiveServerTest, StreamDeliversLiveRounds) {
   const std::string raw = http_get_raw(server_->port(), "/stream?lines=3");
   stop.store(true);
   producer.join();
-  telemetry::install_round_sink(nullptr);
 
   EXPECT_NE(raw.find("200 OK"), std::string::npos);
   EXPECT_NE(raw.find("chunked"), std::string::npos);

@@ -241,19 +241,15 @@ TEST(PmuPhaseStats, JsonCarriesPhasesAndFallbackStamp) {
 TEST(Probes, KernelBlockProfilerRecordsOnlyWhenCompiledAndSinked) {
   PmuPhaseStats pmu_stats;
   telemetry::PhaseStats phase_stats;
-  install_pmu_sink(&pmu_stats);
-  telemetry::install_phase_sink(&phase_stats);
-  {
-    KernelBlockProfiler prof;
-    prof.enter(telemetry::Phase::kKernelGather);
-    volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 10000; ++i) sink += static_cast<std::uint64_t>(i);
-    prof.enter(telemetry::Phase::kKernelCommit);
-    for (int i = 0; i < 10000; ++i) sink += static_cast<std::uint64_t>(i);
-    prof.leave();
-  }
-  telemetry::install_phase_sink(nullptr);
-  install_pmu_sink(nullptr);
+  const telemetry::ObserverScope observe(
+      {.phases = &phase_stats, .pmu = &pmu_stats});
+  KernelBlockProfiler prof;
+  prof.enter(telemetry::Phase::kKernelGather);
+  volatile std::uint64_t sink = 0;
+  for (int i = 0; i < 10000; ++i) sink += static_cast<std::uint64_t>(i);
+  prof.enter(telemetry::Phase::kKernelCommit);
+  for (int i = 0; i < 10000; ++i) sink += static_cast<std::uint64_t>(i);
+  prof.leave();
 
   EXPECT_EQ(pmu_stats.samples(telemetry::Phase::kKernelGather), 1u);
   EXPECT_EQ(pmu_stats.samples(telemetry::Phase::kKernelCommit), 1u);
@@ -284,11 +280,9 @@ TEST(Probes, ProfiledRunIsBitIdentical) {
 
     PmuPhaseStats pmu_stats;
     telemetry::PhaseStats phase_stats;
-    install_pmu_sink(&pmu_stats);
-    telemetry::install_phase_sink(&phase_stats);
+    const telemetry::ObserverScope observe(
+        {.phases = &phase_stats, .pmu = &pmu_stats});
     const RunResult profiled = engine.run(init, rule, /*seed=*/42);
-    telemetry::install_phase_sink(nullptr);
-    install_pmu_sink(nullptr);
 
     EXPECT_EQ(profiled.final_config.ones, plain.final_config.ones)
         << "backend " << kernel::backend_name(backend);

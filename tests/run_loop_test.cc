@@ -300,7 +300,7 @@ TEST(RunLoopTelemetry, MigratedEnginesStreamRounds) {
   {
     telemetry::RoundStream stream(path);
     ASSERT_TRUE(stream.ok());
-    telemetry::install_round_sink(&stream);
+    const telemetry::ObserverScope observe({.rounds = &stream});
 
     const VoterDynamics voter;
     const AlphaSynchronousEngine alpha(voter, 0.5);
@@ -309,7 +309,6 @@ TEST(RunLoopTelemetry, MigratedEnginesStreamRounds) {
     Rng rng(83);
     const RunResult result =
         alpha.run(Configuration{4096, 2048, Opinion::kOne}, rule, rng);
-    telemetry::install_round_sink(nullptr);
 
     EXPECT_EQ(result.ticks, 10u);
     EXPECT_EQ(stream.rounds_seen(), result.ticks + 1);
@@ -317,7 +316,7 @@ TEST(RunLoopTelemetry, MigratedEnginesStreamRounds) {
   {
     telemetry::RoundStream stream(path);
     ASSERT_TRUE(stream.ok());
-    telemetry::install_round_sink(&stream);
+    const telemetry::ObserverScope observe({.rounds = &stream});
 
     const MultiVoter voter(3, 4);
     const MultiAggregateEngine engine(voter);
@@ -326,14 +325,13 @@ TEST(RunLoopTelemetry, MigratedEnginesStreamRounds) {
     Rng rng(84);
     const MultiRunResult result =
         engine.run(MultiConfiguration{{2048, 1024, 1024}, 0, 1}, rule, rng);
-    telemetry::install_round_sink(nullptr);
 
     EXPECT_EQ(stream.rounds_seen(), result.rounds + 1);
   }
   {
     telemetry::RoundStream stream(path);
     ASSERT_TRUE(stream.ok());
-    telemetry::install_round_sink(&stream);
+    const telemetry::ObserverScope observe({.rounds = &stream});
 
     const PairwiseVoter voter;
     const PopulationEngine engine(voter);
@@ -342,7 +340,6 @@ TEST(RunLoopTelemetry, MigratedEnginesStreamRounds) {
     Rng rng(85);
     auto population = engine.make_population(256, Opinion::kOne, 128);
     const RunResult result = engine.run(population, rule, rng);
-    telemetry::install_round_sink(nullptr);
 
     EXPECT_EQ(stream.rounds_seen(), result.rounds() + 1);
   }

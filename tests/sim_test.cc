@@ -74,15 +74,18 @@ TEST(Cli, ParsesAllOptions) {
 }
 
 TEST(Cli, ParsesFlightRecorderFlags) {
-  const char* argv[] = {"bench", "--trace-out=/tmp/t.json",
-                        "--stream-out=/tmp/s.jsonl", "--trace-buffer=1024",
-                        "--stream-stride=16"};
+  const std::string trace = testing::TempDir() + "/cli_trace.json";
+  const std::string stream = testing::TempDir() + "/cli_stream.jsonl";
+  const std::string flags[] = {"--trace-out=" + trace,
+                               "--stream-out=" + stream};
+  const char* argv[] = {"bench", flags[0].c_str(), flags[1].c_str(),
+                        "--trace-buffer=1024", "--stream-stride=16"};
   const BenchOptions options =
       parse_bench_options(5, const_cast<char**>(argv));
   ASSERT_TRUE(options.recorder.trace_out.has_value());
-  EXPECT_EQ(*options.recorder.trace_out, "/tmp/t.json");
+  EXPECT_EQ(*options.recorder.trace_out, trace);
   ASSERT_TRUE(options.recorder.stream_out.has_value());
-  EXPECT_EQ(*options.recorder.stream_out, "/tmp/s.jsonl");
+  EXPECT_EQ(*options.recorder.stream_out, stream);
   EXPECT_EQ(options.recorder.trace_buffer, 1024u);
   EXPECT_EQ(options.recorder.stream_stride, 16u);
   EXPECT_TRUE(options.recorder.requested());

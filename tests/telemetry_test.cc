@@ -21,6 +21,8 @@
 #include "engine/sequential.h"
 #include "engine/sharded.h"
 #include "faults/environment.h"
+#include "obs/progress.h"
+#include "profile/counters.h"
 #include "protocols/minority.h"
 #include "protocols/voter.h"
 #include "sim/parallel.h"
@@ -222,16 +224,34 @@ TEST(PhaseStats, ScopedTimerRecordsOnlyWithSink) {
   }
   EXPECT_EQ(stats.count(telemetry::Phase::kRoundStep), 0u);
 
-  telemetry::install_phase_sink(&stats);
   {
+    const telemetry::ObserverScope observe({.phases = &stats});
     const telemetry::ScopedTimer timer(telemetry::Phase::kRoundStep);
   }
-  telemetry::install_phase_sink(nullptr);
   EXPECT_EQ(stats.count(telemetry::Phase::kRoundStep), 1u);
   {  // Uninstalled again: back to silent.
     const telemetry::ScopedTimer timer(telemetry::Phase::kRoundStep);
   }
   EXPECT_EQ(stats.count(telemetry::Phase::kRoundStep), 1u);
+}
+
+TEST(ObserverScope, InnerScopeOverridesOnlyItsFieldsAndRestoresOuter) {
+  telemetry::PhaseStats outer_phases, inner_phases;
+  telemetry::TraceRecorder trace;
+  profile::PmuPhaseStats pmu;
+  const telemetry::ObserverSet outer{.phases = &outer_phases, .trace = &trace};
+  {
+    const telemetry::ObserverScope outer_scope(outer);
+    {
+      const telemetry::ObserverScope inner(
+          {.phases = &inner_phases, .pmu = &pmu});
+      EXPECT_TRUE((telemetry::observers.load() ==
+                   telemetry::ObserverSet{
+                       .phases = &inner_phases, .trace = &trace, .pmu = &pmu}));
+    }
+    EXPECT_TRUE(telemetry::observers.load() == outer);
+  }
+  EXPECT_TRUE(telemetry::observers.load() == telemetry::ObserverSet{});
 }
 
 TEST(PoolTelemetry, CountsItemsAndGenerationsExactly) {
@@ -353,17 +373,15 @@ std::uint64_t all_engines_digest() {
 TEST(TelemetryDeterminism, RuntimeSinkDoesNotPerturbAnyEngine) {
   const std::uint64_t without_sink = all_engines_digest();
   telemetry::PhaseStats stats;
-  telemetry::install_phase_sink(&stats);
-  const std::uint64_t with_sink = all_engines_digest();
-  telemetry::install_phase_sink(nullptr);
-  EXPECT_EQ(without_sink, with_sink);
+  const telemetry::ObserverScope observe({.phases = &stats});
+  EXPECT_EQ(without_sink, all_engines_digest());
 }
 
-// The golden pin: asserted here with no sink installed (the probe-free
-// loop) and by FlightRecorderDoesNotPerturbAnyEngine with sinks installed
-// (the probed loop), so the probe gate provably cannot perturb a
-// simulation. If an intentional engine change shifts the value, update it
-// from the test's failure output — both tests must agree on it.
+// The golden pin: asserted here with no observer set (the probe-free loop)
+// and by FlightRecorderDoesNotPerturbAnyEngine with every observer set (the
+// probed loop), so the probe gate provably cannot perturb a simulation. If
+// an intentional engine change shifts the value, update it from the test's
+// failure output — both tests must agree on it.
 constexpr std::uint64_t kGoldenAllEnginesDigest = 15000701221148159086ull;
 
 TEST(TelemetryDeterminism, GoldenPayloadDigestMatchesAcrossBuilds) {
@@ -372,22 +390,26 @@ TEST(TelemetryDeterminism, GoldenPayloadDigestMatchesAcrossBuilds) {
          "probe-free runs must both match it)";
 }
 
-// The flight recorder rides the same guarantee: with a TraceRecorder AND a
-// RoundStream installed, every engine still produces the golden payload —
-// recording reads clocks and writes ring slots, never an RNG stream.
+// The flight recorder rides the same guarantee: with a TraceRecorder, a
+// RoundStream and every other observer set, every engine still produces the
+// golden payload — recording reads clocks and counters and writes ring
+// slots, never an RNG stream.
 TEST(TelemetryDeterminism, FlightRecorderDoesNotPerturbAnyEngine) {
   telemetry::TraceRecorder recorder;
   telemetry::RoundStream stream(testing::TempDir() + "/digest_rounds.jsonl");
   ASSERT_TRUE(stream.ok());
-  telemetry::install_trace_recorder(&recorder);
-  telemetry::install_round_sink(&stream);
-  const std::uint64_t with_recorder = all_engines_digest();
-  telemetry::install_round_sink(nullptr);
-  telemetry::install_trace_recorder(nullptr);
-  EXPECT_EQ(with_recorder, kGoldenAllEnginesDigest)
+  telemetry::PhaseStats phases;
+  profile::PmuPhaseStats pmu;
+  obs::ProgressBoard board;
+  const telemetry::ObserverScope observe({.phases = &phases, .trace = &recorder,
+                                          .rounds = &stream, .pmu = &pmu,
+                                          .progress = &board});
+  EXPECT_EQ(all_engines_digest(), kGoldenAllEnginesDigest)
       << "flight recorder perturbed a run payload";
   EXPECT_GT(recorder.recorded(), 0u);
   EXPECT_GT(stream.lines(), 0u);
+  EXPECT_GT(pmu.samples(telemetry::Phase::kRoundStep), 0u);
+  EXPECT_GT(board.runs_finished(), 0u);
 }
 
 TEST(TelemetryDeterminism, RunTelemetryRecordedMatchesBuildFlavor) {

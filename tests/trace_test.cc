@@ -327,8 +327,8 @@ TEST(TraceProbes, AggregateEngineStreamsEveryRound) {
   const std::string path = testing::TempDir() + "/probe_rounds.jsonl";
   telemetry::RoundStream stream(path);
   ASSERT_TRUE(stream.ok());
-  telemetry::install_trace_recorder(&recorder);
-  telemetry::install_round_sink(&stream);
+  const telemetry::ObserverScope observe(
+      {.trace = &recorder, .rounds = &stream});
 
   const VoterDynamics voter;
   const AggregateParallelEngine engine(voter);
@@ -337,9 +337,6 @@ TEST(TraceProbes, AggregateEngineStreamsEveryRound) {
   Rng rng(11);
   const RunResult result =
       engine.run(init_half(4096, Opinion::kOne), rule, rng);
-
-  telemetry::install_round_sink(nullptr);
-  telemetry::install_trace_recorder(nullptr);
 
   ASSERT_EQ(result.rounds(), 50u);
   // Round 0 plus one record per executed round.
@@ -353,12 +350,11 @@ TEST(TraceProbes, AggregateEngineStreamsEveryRound) {
 
 TEST(TraceProbes, WorkerPoolRecordsBusySpans) {
   TraceRecorder recorder;
-  telemetry::install_trace_recorder(&recorder);
+  const telemetry::ObserverScope observe({.trace = &recorder});
   std::atomic<int> executed{0};
   parallel_for(
       256, [&](int) { executed.fetch_add(1, std::memory_order_relaxed); },
       /*max_threads=*/3);
-  telemetry::install_trace_recorder(nullptr);
   ASSERT_EQ(executed.load(), 256);
 
   const JsonValue trace = recorder.export_chrome_trace();

@@ -15,7 +15,7 @@ on any call-site outside the allowlisted owners:
     src/engine/run_loop.*   -- the driver itself (all three tokens)
     src/engine/stopping.*   -- defines evaluate_stop and RecoverySegment
     src/faults/session.*    -- owns RecoverySegment lifecycle
-    src/telemetry/          -- defines record_round (and its no-op stub)
+    src/telemetry/          -- defines record_round
     bench/perf_smoke.cc     -- record_round only: it steps engines directly
                                (no run loop), so it must emit rounds itself
 
