@@ -4,8 +4,12 @@
 //   * the aggregate engine's O(1)-in-n round vs the agent engine's O(n*l);
 //   * closed-form aggregate adoption (Voter, Minority, 3-majority) vs the
 //     generic Eq. 4 summation;
-//   * the cost of the sqrt(n ln n) sample-size regime (O(l) per round).
+//   * the cost of the sqrt(n ln n) sample-size regime (O(l) per round);
+//   * run() per round, which plans each visited state once, against the
+//     uncached step().
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "core/init.h"
 #include "core/stateful.h"
@@ -234,6 +238,59 @@ void BM_SequentialActivation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SequentialActivation);
+
+// run() per round, the path every replicate loop takes. The step() rows
+// above build each round's plan; run() keeps one per visited state
+// (engine/plan_table.h). At n = 20 the Theorem 1 trap (minority l=3 from
+// X0 = 8) revisits a handful of states, so nearly every round hits; at
+// n = 2^20 X_t moves by O(sqrt n) per round, so nearly every round misses.
+// A sequential activation moves X_t by at most one, so its walk revisits
+// recent states at either size. s_per_round (resp. s_per_activation) is the
+// row's headline.
+Configuration run_row_start(std::uint64_t n) {
+  return n == 20 ? Configuration{20, 8, Opinion::kOne}
+                 : init_half(n, Opinion::kOne);
+}
+
+void BM_AggregateRunMinority3(benchmark::State& state) {
+  const MinorityDynamics minority(3);
+  const AggregateParallelEngine engine(minority);
+  const Configuration start =
+      run_row_start(static_cast<std::uint64_t>(state.range(0)));
+  StopRule rule;
+  rule.max_rounds = 4096;
+  Rng rng(6);
+  std::uint64_t rounds = 0;
+  for (auto _ : state) {
+    const RunResult result = engine.run(start, rule, rng);
+    rounds += result.rounds();
+    benchmark::DoNotOptimize(result.final_config.ones);
+  }
+  state.counters["s_per_round"] = benchmark::Counter(
+      static_cast<double>(rounds),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_AggregateRunMinority3)->Arg(20)->Arg(1 << 20);
+
+void BM_SequentialRunMinority3(benchmark::State& state) {
+  const MinorityDynamics minority(3);
+  const SequentialEngine engine(minority);
+  const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
+  const Configuration start = run_row_start(n);
+  StopRule rule;
+  rule.max_rounds = std::max<std::uint64_t>(1, 65536 / n);
+  Rng rng(7);
+  std::uint64_t activations = 0;
+  for (auto _ : state) {
+    const RunResult result = engine.run(start, rule, rng);
+    activations += result.activations();
+    benchmark::DoNotOptimize(result.final_config.ones);
+  }
+  state.counters["s_per_activation"] = benchmark::Counter(
+      static_cast<double>(activations),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SequentialRunMinority3)->Arg(20)->Arg(1 << 20);
 
 // Ablation: closed-form aggregate adoption vs the generic Eq. 4 walk.
 void BM_AdoptionClosedFormMinority(benchmark::State& state) {

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "engine/plan_table.h"
 #include "engine/run_loop.h"
 #include "faults/noisy_protocol.h"
 #include "faults/session.h"
@@ -12,20 +13,49 @@
 namespace bitspread {
 namespace {
 
-// Fault-free stepper: one exact round = two binomial draws.
+// Everything one fault-free round prepares from X_t before its first
+// uniform: the two Eq. 4 draws with their adoption probabilities folded in.
+struct AggregatePlan {
+  BinomialSampler ones;   // Bin(non-source ones, P_1(x/n)).
+  BinomialSampler zeros;  // Bin(non-source zeros, P_0(x/n)).
+};
+
+AggregatePlan plan_round(const MemorylessProtocol& protocol,
+                         const Configuration& config) {
+  const double p = config.fraction_ones();
+  const double p1 = protocol.aggregate_adoption(Opinion::kOne, p, config.n);
+  const double p0 = protocol.aggregate_adoption(Opinion::kZero, p, config.n);
+  return {BinomialSampler(config.non_source_ones(), p1),
+          BinomialSampler(config.non_source_zeros(), p0)};
+}
+
+Configuration draw_round(const Configuration& config,
+                         const AggregatePlan& plan, Rng& rng) {
+  const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+  const std::uint64_t stay_one = plan.ones(rng);
+  const std::uint64_t switch_to_one = plan.zeros(rng);
+  Configuration next = config;
+  next.ones = config.source_ones() + stay_one + switch_to_one;
+  return next;
+}
+
+// Fault-free stepper: one exact round = two binomial draws, planned once
+// per visited state.
 struct AggregateStepper {
-  const AggregateParallelEngine& engine;
+  const MemorylessProtocol& protocol;
   Rng& rng;
   Configuration state;
   std::uint64_t samples = 0;
+  PlanTable<AggregatePlan> plans{};
 
   Configuration& config() noexcept { return state; }
   void step(std::uint64_t /*tick*/) {
-    state = engine.step(state, rng);
+    const AggregatePlan& plan =
+        plans.get(state.ones, [&] { return plan_round(protocol, state); });
+    state = draw_round(state, plan, rng);
     // The aggregate reduction draws (n - z) * l conceptual observation
     // bits per round through two exact binomials.
-    samples += (state.n - state.sources) *
-               engine.protocol().sample_size(state.n);
+    samples += (state.n - state.sources) * protocol.sample_size(state.n);
   }
   std::uint64_t samples_drawn() const noexcept { return samples; }
 
@@ -40,6 +70,7 @@ struct AggregateStepper {
     if (saved.rng.size() != 1) return false;
     rng.set_state(saved.rng[0]);
     samples = saved.samples_drawn;
+    plans.clear();
     return true;
   }
 };
@@ -89,24 +120,13 @@ struct AggregateFaultyStepper {
 Configuration AggregateParallelEngine::step(const Configuration& config,
                                             Rng& rng) const {
   assert(config.valid());
-  const double p = config.fraction_ones();
-  const double p1 =
-      protocol_->aggregate_adoption(Opinion::kOne, p, config.n);
-  const double p0 =
-      protocol_->aggregate_adoption(Opinion::kZero, p, config.n);
-  const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
-  const std::uint64_t stay_or_switch_to_one =
-      binomial(rng, config.non_source_ones(), p1) +
-      binomial(rng, config.non_source_zeros(), p0);
-  Configuration next = config;
-  next.ones = config.source_ones() + stay_or_switch_to_one;
-  return next;
+  return draw_round(config, plan_round(*protocol_, config), rng);
 }
 
 RunResult AggregateParallelEngine::run(Configuration config,
                                        const StopRule& rule, Rng& rng,
                                        Trajectory* trajectory) const {
-  AggregateStepper stepper{*this, rng, config};
+  AggregateStepper stepper{*protocol_, rng, config};
   return RunDriver(TimePolicy::parallel()).run(stepper, rule, trajectory);
 }
 

@@ -5,7 +5,9 @@
 //   X_{t+1} = [z sources] + Binomial(#non-source ones, P_1)
 //                         + Binomial(#non-source zeros, P_0)
 // *exactly*. One round therefore costs two exact binomial draws plus the
-// P_b computation — independent of n. This is the engine behind every
+// P_b computation — independent of n. A fault-free run() plans each visited
+// state once (P_b and both binomials' set-up, engine/plan_table.h), so a
+// repeat state costs only the two draws. This is the engine behind every
 // large-population experiment in the repository; it is distribution-identical
 // to the per-agent engine (tested, and cross-checked against the exact dense
 // Markov chain for small n).
@@ -37,7 +39,9 @@ class AggregateParallelEngine {
     assert(topology == nullptr || topology->is_complete());
   }
 
-  // One exact parallel round. `config` must be valid.
+  // One exact parallel round. `config` must be valid. Uncached: it builds
+  // the round's plan and draws with the same code run() uses, so a loop of
+  // step() and run() visit the same states on the same seed.
   Configuration step(const Configuration& config, Rng& rng) const;
 
   // Runs until the stop rule fires. If `trajectory` is non-null, X_t is

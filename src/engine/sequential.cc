@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "engine/plan_table.h"
 #include "engine/run_loop.h"
 #include "faults/session.h"
 #include "random/binomial.h"
@@ -11,17 +12,53 @@
 namespace bitspread {
 namespace {
 
-// Fault-free stepper: one activation per tick.
+// One activation given the activated agent's sample law Bin(l, X/n),
+// prepared by the caller.
+Configuration activate(const MemorylessProtocol& protocol,
+                       const Configuration& config, std::uint32_t ell,
+                       const BinomialSampler& sample, Rng& rng) {
+  const std::uint64_t non_source = config.n - config.sources;
+  assert(non_source > 0);
+
+  // Which opinion does the activated agent hold?
+  const bool holds_one =
+      rng.next_below(non_source) < config.non_source_ones();
+  const Opinion own = holds_one ? Opinion::kOne : Opinion::kZero;
+
+  // Its sample: l u.a.r. draws (with replacement) from ALL agents.
+  std::uint32_t ones_seen;
+  {
+    const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+    ones_seen = static_cast<std::uint32_t>(sample(rng));
+  }
+
+  const double adopt_one = protocol.g(own, ones_seen, ell, config.n);
+  const Opinion next =
+      rng.bernoulli(adopt_one) ? Opinion::kOne : Opinion::kZero;
+
+  Configuration result = config;
+  if (own != next) {
+    result.ones += next == Opinion::kOne ? 1 : -1;
+  }
+  return result;
+}
+
+// Fault-free stepper: one activation per tick, with the sample law
+// prepared once per visited state.
 struct SequentialStepper {
-  const SequentialEngine& engine;
+  const MemorylessProtocol& protocol;
   Rng& rng;
   Configuration state;
   std::uint32_t ell = 0;
   std::uint64_t samples = 0;
+  PlanTable<BinomialSampler> plans{};
 
   Configuration& config() noexcept { return state; }
   void step(std::uint64_t /*tick*/) {
-    state = engine.step(state, rng);
+    const BinomialSampler& sample = plans.get(state.ones, [&] {
+      return BinomialSampler(ell, state.fraction_ones());
+    });
+    state = activate(protocol, state, ell, sample, rng);
     samples += ell;
   }
   std::uint64_t samples_drawn() const noexcept { return samples; }
@@ -35,6 +72,7 @@ struct SequentialStepper {
     if (saved.rng.size() != 1) return false;
     rng.set_state(saved.rng[0]);
     samples = saved.samples_drawn;
+    plans.clear();
     return true;
   }
 };
@@ -94,37 +132,14 @@ struct SequentialFaultyStepper {
 Configuration SequentialEngine::step(const Configuration& config,
                                      Rng& rng) const {
   assert(config.valid());
-  const std::uint64_t non_source = config.n - config.sources;
-  assert(non_source > 0);
-
-  // Which opinion does the activated agent hold?
-  const bool holds_one =
-      rng.next_below(non_source) < config.non_source_ones();
-  const Opinion own = holds_one ? Opinion::kOne : Opinion::kZero;
-
-  // Its sample: l u.a.r. draws (with replacement) from ALL agents.
   const std::uint32_t ell = protocol_->sample_size(config.n);
-  std::uint32_t ones_seen;
-  {
-    const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
-    ones_seen = static_cast<std::uint32_t>(
-        binomial(rng, ell, config.fraction_ones()));
-  }
-
-  const double adopt_one = protocol_->g(own, ones_seen, ell, config.n);
-  const Opinion next =
-      rng.bernoulli(adopt_one) ? Opinion::kOne : Opinion::kZero;
-
-  Configuration result = config;
-  if (own != next) {
-    result.ones += next == Opinion::kOne ? 1 : -1;
-  }
-  return result;
+  return activate(*protocol_, config, ell,
+                  BinomialSampler(ell, config.fraction_ones()), rng);
 }
 
 RunResult SequentialEngine::run(Configuration config, const StopRule& rule,
                                 Rng& rng, Trajectory* trajectory) const {
-  SequentialStepper stepper{*this, rng, config,
+  SequentialStepper stepper{*protocol_, rng, config,
                             protocol_->sample_size(config.n)};
   return RunDriver(TimePolicy::activations(config.n))
       .run(stepper, rule, trajectory);

@@ -43,7 +43,8 @@ class SequentialEngine {
   }
 
   // One activation. `config` must be valid and have at least one non-source
-  // agent.
+  // agent. Uncached; run() keeps the Bin(l, X/n) sampler of each visited
+  // state and draws the same as a loop of step() on the same seed.
   Configuration step(const Configuration& config, Rng& rng) const;
 
   // StopRule::max_rounds is interpreted in PARALLEL rounds (n activations

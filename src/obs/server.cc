@@ -256,11 +256,15 @@ void IntrospectionServer::stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
-  // Closing the listen socket unblocks accept(); shutting down every open
-  // connection unblocks in-flight reads/sends and stream waits.
+  // Shutting the listen socket down unblocks accept(). It is closed only
+  // once the accept thread has exited: accept_loop() reads listen_fd_, and a
+  // closed fd number could be reused by another socket and accepted on.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
+  // No handler can be added now; shutting down every open connection
+  // unblocks in-flight reads/sends and stream waits.
   if (options_.hub != nullptr) options_.hub->close_all();
   {
     std::lock_guard<std::mutex> lock(handlers_mutex_);
@@ -269,7 +273,6 @@ void IntrospectionServer::stop() {
       if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
     }
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<Handler> handlers;
   {
     std::lock_guard<std::mutex> lock(handlers_mutex_);
@@ -298,7 +301,7 @@ void IntrospectionServer::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      break;  // Listen socket closed by stop().
+      break;  // Listen socket shut down by stop().
     }
     reap_finished_handlers();
     set_timeout(fd, SO_RCVTIMEO, 2);

@@ -32,8 +32,9 @@ double MinorityDynamics::aggregate_adoption(Opinion /*own*/, double p,
   if (p >= 1.0) return 1.0;
   // Allocation-free tail sum: walk the Binomial(l, p) pmf outward from its
   // mode with the multiplicative recurrence (the same scheme as
-  // eq4_adoption_sum, with g inlined). This is the aggregate engine's hot
-  // path in the sqrt(n log n) regime.
+  // eq4_adoption_sum, with g inlined). The aggregate engine's run() calls it
+  // once per newly visited state (engine/plan_table.h), so it is hot where
+  // states rarely repeat: large n, and the sqrt(n log n) regime's O(l) walk.
   const double nd = static_cast<double>(ell);
   const auto mode =
       static_cast<std::uint32_t>(std::min(nd, std::floor((nd + 1.0) * p)));

@@ -6,32 +6,62 @@
 #include "random/log_gamma.h"
 
 namespace bitspread {
-namespace binomial_detail {
+BinomialSampler::BinomialSampler(std::uint64_t n, double p) noexcept : n_(n) {
+  if (n == 0 || p <= 0.0) return;
+  flip_ = p > 0.5;
+  if (p >= 1.0) return;  // n - Bin(n, 0).
+  if (flip_) p = 1.0 - p;
+  if (static_cast<double>(n) * p < binomial_detail::kInversionThreshold) {
+    prepare_inversion(p);
+  } else {
+    prepare_rejection(p);
+  }
+}
+
+std::uint64_t BinomialSampler::operator()(Rng& rng) const noexcept {
+  std::uint64_t k = 0;
+  switch (regime_) {
+    case Regime::kZero:
+      break;
+    case Regime::kInversion:
+      k = invert(rng);
+      break;
+    case Regime::kRejection:
+      k = reject(rng);
+      break;
+  }
+  return flip_ ? n_ - k : k;
+}
 
 // BINV: sequential CDF inversion with the pmf recurrence
 //   pmf(x+1) = pmf(x) * (n-x)/(x+1) * p/(1-p).
-// Requires n*p small enough that q^n does not underflow; callers guarantee
-// n*p <= kInversionThreshold, so q^n >= exp(-~10.5) comfortably.
-std::uint64_t binv(Rng& rng, std::uint64_t n, double p) noexcept {
+// Requires n*p small enough that q^n does not underflow; the regime choice
+// guarantees n*p <= kInversionThreshold, so q^n >= exp(-~10.5) comfortably.
+void BinomialSampler::prepare_inversion(double p) noexcept {
+  regime_ = Regime::kInversion;
   const double q = 1.0 - p;
-  const double s = p / q;
-  const double a = static_cast<double>(n + 1) * s;
+  odds_ = p / q;
+  binv_a_ = static_cast<double>(n_ + 1) * odds_;
+  q_pow_n_ = std::exp(static_cast<double>(n_) * std::log1p(-p));
+}
+
+std::uint64_t BinomialSampler::invert(Rng& rng) const noexcept {
   while (true) {  // Restart on the (astronomically rare) u ~ 1 tail overrun.
-    double r = std::exp(static_cast<double>(n) * std::log1p(-p));  // q^n
+    double r = q_pow_n_;
     double u = rng.next_double();
     std::uint64_t x = 0;
     bool done = false;
-    while (x <= n) {
+    while (x <= n_) {
       if (u <= r) {
         done = true;
         break;
       }
       u -= r;
       ++x;
-      r *= a / static_cast<double>(x) - s;
+      r *= binv_a_ / static_cast<double>(x) - odds_;
       if (r <= 0.0) break;  // Numerical tail exhausted.
     }
-    if (done) return std::min(x, n);
+    if (done) return std::min(x, n_);
   }
 }
 
@@ -52,27 +82,35 @@ double stirling_correction(double k) noexcept {
 
 // BTRS (Hoermann 1993, "The generation of binomial random variates",
 // algorithm as used in practice e.g. by TensorFlow): transformed rejection
-// with squeeze; exact for p in (0, 0.5], n*p >= 10.
-std::uint64_t btrs(Rng& rng, std::uint64_t n, double p) noexcept {
-  const double nd = static_cast<double>(n);
+// with squeeze; exact for p in (0, 0.5], n*p >= 10. The terms that depend on
+// the mode m are computed on the slow path only, so a one-shot draw that
+// the squeeze accepts does no more work than it needs.
+void BinomialSampler::prepare_rejection(double p) noexcept {
+  regime_ = Regime::kRejection;
+  p_ = p;
+  const double nd = static_cast<double>(n_);
   const double q = 1.0 - p;
   const double stddev = std::sqrt(nd * p * q);
-  const double b = 1.15 + 2.53 * stddev;
-  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
-  const double c = nd * p + 0.5;
-  const double v_r = 0.92 - 4.2 / b;
-  const double r = p / q;
-  const double alpha = (2.83 + 5.1 / b) * stddev;
-  const double m = std::floor((nd + 1.0) * p);
+  b_ = 1.15 + 2.53 * stddev;
+  a_ = -0.0873 + 0.0248 * b_ + 0.01 * p;
+  c_ = nd * p + 0.5;
+  v_r_ = 0.92 - 4.2 / b_;
+  odds_ = p / q;
+  alpha_ = (2.83 + 5.1 / b_) * stddev;
+}
 
+std::uint64_t BinomialSampler::reject(Rng& rng) const noexcept {
+  const double nd = static_cast<double>(n_);
+  const double r = odds_;
   while (true) {
     const double u = rng.next_double() - 0.5;
     double v = rng.next_double();
     const double us = 0.5 - std::abs(u);
-    const double kd = std::floor((2.0 * a / us + b) * u + c);
+    const double kd = std::floor((2.0 * a_ / us + b_) * u + c_);
     if (kd < 0.0 || kd > nd) continue;
-    if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(kd);
-    v = std::log(v * alpha / (a / (us * us) + b));
+    if (us >= 0.07 && v <= v_r_) return static_cast<std::uint64_t>(kd);
+    v = std::log(v * alpha_ / (a_ / (us * us) + b_));
+    const double m = std::floor((nd + 1.0) * p_);
     const double upper =
         (m + 0.5) * std::log((m + 1.0) / (r * (nd - m + 1.0))) +
         (nd + 1.0) * std::log((nd - m + 1.0) / (nd - kd + 1.0)) +
@@ -83,16 +121,32 @@ std::uint64_t btrs(Rng& rng, std::uint64_t n, double p) noexcept {
   }
 }
 
+namespace binomial_detail {
+
+// Flattened like binomial() below.
+[[gnu::flatten]] std::uint64_t binv(Rng& rng, std::uint64_t n,
+                                    double p) noexcept {
+  BinomialSampler sampler;
+  sampler.n_ = n;
+  sampler.prepare_inversion(p);
+  return sampler.invert(rng);
+}
+
+[[gnu::flatten]] std::uint64_t btrs(Rng& rng, std::uint64_t n,
+                                    double p) noexcept {
+  BinomialSampler sampler;
+  sampler.n_ = n;
+  sampler.prepare_rejection(p);
+  return sampler.reject(rng);
+}
+
 }  // namespace binomial_detail
 
-std::uint64_t binomial(Rng& rng, std::uint64_t n, double p) noexcept {
-  if (n == 0 || p <= 0.0) return 0;
-  if (p >= 1.0) return n;
-  if (p > 0.5) return n - binomial(rng, n, 1.0 - p);
-  if (static_cast<double>(n) * p < binomial_detail::kInversionThreshold) {
-    return binomial_detail::binv(rng, n, p);
-  }
-  return binomial_detail::btrs(rng, n, p);
+// Flattened: with the constructor and the draw inlined, a one-shot sampler
+// stays in registers instead of being built in memory and read back.
+[[gnu::flatten]] std::uint64_t binomial(Rng& rng, std::uint64_t n,
+                                        double p) noexcept {
+  return BinomialSampler(n, p)(rng);
 }
 
 double binomial_log_pmf(double n, double k, double p) noexcept {

@@ -2,7 +2,9 @@
 // determinism, and behavior at absorbing states.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/init.h"
 #include "engine/aggregate.h"
@@ -196,6 +198,72 @@ TEST(AggregateEngine, SourcelessConsensusMode) {
   EXPECT_TRUE(result.reason == StopReason::kCorrectConsensus ||
               result.reason == StopReason::kWrongConsensus);
   EXPECT_TRUE(result.final_config.is_consensus());
+}
+
+// run() plans each visited state once and keeps the plan in a 64-slot table
+// keyed by X_t (engine/plan_table.h); step() plans every call. Both must
+// consume the same uniforms in the same order, so run() with stride 1
+// records exactly the states a hand loop of step() visits on the same seed.
+// Returns the number of distinct states visited.
+std::size_t expect_run_matches_step_loop(const MemorylessProtocol& protocol,
+                                         const Configuration& init,
+                                         std::uint64_t max_rounds,
+                                         std::uint64_t seed) {
+  const AggregateParallelEngine engine(protocol);
+  StopRule rule;
+  rule.max_rounds = max_rounds;
+  Rng run_rng(seed);
+  Trajectory trajectory(1);
+  const RunResult result = engine.run(init, rule, run_rng, &trajectory);
+
+  Rng step_rng(seed);
+  Configuration config = init;
+  std::vector<std::uint64_t> visited{config.ones};
+  while (!evaluate_stop(rule, config) && visited.size() <= max_rounds) {
+    config = engine.step(config, step_rng);
+    visited.push_back(config.ones);
+  }
+
+  EXPECT_EQ(result.rounds(), visited.size() - 1);
+  EXPECT_EQ(result.final_config, config);
+  EXPECT_EQ(run_rng.state(), step_rng.state());
+  EXPECT_EQ(trajectory.size(), visited.size());
+  for (std::size_t t = 0; t < std::min(trajectory.size(), visited.size());
+       ++t) {
+    if (trajectory.points()[t].ones != visited[t]) {
+      ADD_FAILURE() << "run() left the step() path at round " << t << ": "
+                    << trajectory.points()[t].ones << " vs " << visited[t];
+      break;
+    }
+  }
+  std::sort(visited.begin(), visited.end());
+  return static_cast<std::size_t>(
+      std::unique(visited.begin(), visited.end()) - visited.begin());
+}
+
+TEST(AggregateEngine, RunMatchesUncachedStepsWhenEveryStateRepeats) {
+  // The Theorem 1 trap: 21 states, so after a few rounds every plan hits.
+  const MinorityDynamics minority(3);
+  expect_run_matches_step_loop(minority, Configuration{20, 8, Opinion::kOne},
+                               20'000, 21);
+}
+
+TEST(AggregateEngine, RunMatchesUncachedStepsAcrossTagCollisions) {
+  // Minority stalls around n/2 with O(sqrt n) swings: more states than
+  // slots, so X_t and X_t + 64 evict each other.
+  const MinorityDynamics minority(3);
+  const std::size_t states = expect_run_matches_step_loop(
+      minority, init_half(1000, Opinion::kOne), 5'000, 22);
+  EXPECT_GT(states, 64u);
+}
+
+TEST(AggregateEngine, RunMatchesUncachedStepsInTheRejectionRegime) {
+  // Voter at 3/4 ones: P_b = X/n > 1/2 takes the flip, n*p takes BTRS.
+  const VoterDynamics voter;
+  const std::uint64_t n = std::uint64_t{1} << 20;
+  expect_run_matches_step_loop(voter,
+                               Configuration{n, 3 * n / 4, Opinion::kOne},
+                               300, 23);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // The sequential engine, and its exact agreement with the birth-death chain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/init.h"
 #include "engine/sequential.h"
@@ -113,6 +115,72 @@ TEST(SequentialEngine, DeterministicGivenSeed) {
   const auto rb = engine.run(init_half(64, Opinion::kOne), rule, b);
   EXPECT_EQ(ra.activations(), rb.activations());
   EXPECT_EQ(ra.final_config, rb.final_config);
+}
+
+// run() keeps each visited state's Bin(l, X/n) sampler in a 64-slot table
+// keyed by X_t (engine/plan_table.h); step() prepares it every call. Both
+// must consume the same uniforms in the same order: run() ends where a hand
+// loop of step() ends on the same seed, through the same per-round states.
+// Returns the number of distinct states visited.
+std::size_t expect_run_matches_step_loop(const MemorylessProtocol& protocol,
+                                         const Configuration& init,
+                                         std::uint64_t max_rounds,
+                                         std::uint64_t seed) {
+  const SequentialEngine engine(protocol);
+  StopRule rule;
+  rule.max_rounds = max_rounds;
+  Rng run_rng(seed);
+  Trajectory trajectory(1);
+  const RunResult result = engine.run(init, rule, run_rng, &trajectory);
+
+  Rng step_rng(seed);
+  Configuration config = init;
+  std::vector<std::uint64_t> per_round{config.ones};
+  std::vector<std::uint64_t> visited{config.ones};
+  std::uint64_t activations = 0;
+  while (!evaluate_stop(rule, config) && activations < max_rounds * init.n) {
+    config = engine.step(config, step_rng);
+    visited.push_back(config.ones);
+    if (++activations % init.n == 0) per_round.push_back(config.ones);
+  }
+
+  EXPECT_EQ(result.activations(), activations);
+  EXPECT_EQ(result.final_config, config);
+  EXPECT_EQ(run_rng.state(), step_rng.state());
+  EXPECT_GE(trajectory.size(), per_round.size());
+  for (std::size_t r = 0; r < std::min(trajectory.size(), per_round.size());
+       ++r) {
+    if (trajectory.points()[r].ones != per_round[r]) {
+      ADD_FAILURE() << "run() left the step() path by round " << r << ": "
+                    << trajectory.points()[r].ones << " vs " << per_round[r];
+      break;
+    }
+  }
+  std::sort(visited.begin(), visited.end());
+  return static_cast<std::size_t>(
+      std::unique(visited.begin(), visited.end()) - visited.begin());
+}
+
+TEST(SequentialEngine, RunMatchesUncachedStepsWhenEveryStateRepeats) {
+  const MinorityDynamics minority(3);
+  expect_run_matches_step_loop(minority, Configuration{20, 8, Opinion::kOne},
+                               20'000, 31);
+}
+
+TEST(SequentialEngine, RunMatchesUncachedStepsAcrossTagCollisions) {
+  const MinorityDynamics minority(3);
+  const std::size_t states = expect_run_matches_step_loop(
+      minority, init_half(1000, Opinion::kOne), 40, 32);
+  EXPECT_GT(states, 64u);
+}
+
+TEST(SequentialEngine, RunMatchesUncachedStepsAtLargeN) {
+  // X/n > 1/2 takes the flip; the walk spans far more states than slots.
+  const VoterDynamics voter;
+  const std::uint64_t n = std::uint64_t{1} << 20;
+  expect_run_matches_step_loop(voter,
+                               Configuration{n, 3 * n / 4, Opinion::kOne},
+                               2, 33);
 }
 
 }  // namespace

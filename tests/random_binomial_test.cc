@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -176,6 +177,67 @@ TEST(BinomialSampler, IsDeterministicGivenSeed) {
   Rng b(99);
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(binomial(a, 1000, 0.3), binomial(b, 1000, 0.3));
+  }
+}
+
+// A kept BinomialSampler is a one-shot binomial() with its set-up moved to
+// construction: same draws, same uniforms consumed. The cases span both
+// clamps, the p > 1/2 flip on either side of 1/2, both sides of the n*p
+// regime threshold (20 * nextafter(0.5, 0) < 10 <= 20 * 0.5), and large-n
+// BTRS, whose slow path a fifth of the draws take.
+struct SamplerCase {
+  std::uint64_t n;
+  double p;
+  // FNV-1a over the first 256 binomial() draws from Rng(0x5eed + n), pinned
+  // from the one-shot implementation before its set-up moved into
+  // BinomialSampler: a change to the uniforms a draw consumes, or to the
+  // floating-point order of the set-up, moves these.
+  std::uint64_t digest;
+};
+
+const SamplerCase kSamplerCases[] = {
+    {0, 0.3, 0xd80ac658736bb725ULL},
+    {0, 1.0, 0xd80ac658736bb725ULL},
+    {50, 0.0, 0xd80ac658736bb725ULL},
+    {50, -0.25, 0xd80ac658736bb725ULL},
+    {50, 1.0, 0x959289630a5ad325ULL},
+    {50, 1.75, 0x959289630a5ad325ULL},
+    {20, std::nextafter(0.5, 0.0), 0x8ca191de670e7ef7ULL},  // BINV
+    {20, 0.5, 0x624326b25fc511e6ULL},                       // BTRS
+    {20, std::nextafter(0.5, 1.0), 0x049c49cf523d6c07ULL},  // flip, BINV
+    {64, std::nextafter(0.5, 0.0), 0x31cad1b78945f696ULL},
+    {64, 0.5, 0x31cad1b78945f696ULL},
+    {64, std::nextafter(0.5, 1.0), 0x3acf97fd27660788ULL},  // flip, BTRS
+    {100, 0.0999, 0x43e7aec6d722dc73ULL},
+    {100, 0.1001, 0x874dffda68e24b0aULL},
+    {100, 0.9, 0xb2e9b69df6ef990dULL},
+    {1000000, 0.000001, 0x72b00ccfff279030ULL},
+    {1000000, 0.25, 0x8a3f4bfd9e57ad71ULL},
+    {1000000, 0.75, 0x83816c545c4a9f85ULL},
+    {1000003, 0.5, 0xafe4e5084b4efc7eULL},
+};
+
+TEST(BinomialSampler, KeptSamplerMatchesOneShotDraws) {
+  for (const SamplerCase& c : kSamplerCases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " p=" + std::to_string(c.p));
+    const BinomialSampler sampler(c.n, c.p);
+    Rng kept(0x5eed + c.n);
+    Rng one_shot(0x5eed + c.n);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(sampler(kept), binomial(one_shot, c.n, c.p)) << "draw " << i;
+      ASSERT_EQ(kept.state(), one_shot.state()) << "draw " << i;
+    }
+  }
+}
+
+TEST(BinomialSampler, DrawsMatchPinnedDigests) {
+  for (const SamplerCase& c : kSamplerCases) {
+    Rng rng(0x5eed + c.n);
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < 256; ++i) {
+      digest = (digest ^ binomial(rng, c.n, c.p)) * 0x100000001b3ULL;
+    }
+    EXPECT_EQ(digest, c.digest) << "n=" << c.n << " p=" << c.p;
   }
 }
 

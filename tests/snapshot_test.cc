@@ -15,6 +15,7 @@
 
 #include "core/init.h"
 #include "engine/aggregate.h"
+#include "engine/sequential.h"
 #include "engine/sharded.h"
 #include "engine/trajectory.h"
 #include "faults/environment.h"
@@ -334,6 +335,27 @@ TEST(DeterministicResume, AggregateEngineWithFaults) {
   expect_digest_identical_resume("aggf", [&] {
     Rng rng(99);
     return engine.run(init, stall_rule(), faults, rng);
+  });
+}
+
+// The Theorem 1 trap at n = 20 visits a handful of states, so by the
+// checkpoint every plan in the run's table is warm. The resumed run starts
+// with an empty table (restore() clears it) and must still draw the same.
+TEST(DeterministicResume, AggregateEngineWithWarmPlanTable) {
+  const MinorityDynamics minority(3);
+  const AggregateParallelEngine engine(minority);
+  expect_digest_identical_resume("aggwarm", [&] {
+    Rng rng(98);
+    return engine.run(Configuration{20, 8, Opinion::kOne}, stall_rule(), rng);
+  });
+}
+
+TEST(DeterministicResume, SequentialEngineWithWarmPlanTable) {
+  const MinorityDynamics minority(3);
+  const SequentialEngine engine(minority);
+  expect_digest_identical_resume("seqwarm", [&] {
+    Rng rng(97);
+    return engine.run(Configuration{20, 8, Opinion::kOne}, stall_rule(), rng);
   });
 }
 
