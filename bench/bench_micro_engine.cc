@@ -1,7 +1,8 @@
 // E13 — engine micro-benchmarks (google-benchmark).
 //
 // Quantifies the design choices DESIGN.md §6 calls out:
-//   * the aggregate engine's O(1)-in-n round vs the agent engine's O(n*l);
+//   * the aggregate engine's O(1)-in-n round vs the sharded agent engine's
+//     O(n*l);
 //   * closed-form aggregate adoption (Voter, Minority, 3-majority) vs the
 //     generic Eq. 4 summation;
 //   * the cost of the sqrt(n ln n) sample-size regime (O(l) per round);
@@ -12,8 +13,6 @@
 #include <algorithm>
 
 #include "core/init.h"
-#include "core/stateful.h"
-#include "engine/agent.h"
 #include "engine/aggregate.h"
 #include "engine/kernel/kernel.h"
 #include "engine/sequential.h"
@@ -74,24 +73,8 @@ void BM_AggregateStepMinoritySqrt(benchmark::State& state) {
 }
 BENCHMARK(BM_AggregateStepMinoritySqrt)->Arg(1 << 14)->Arg(1 << 20);
 
-void BM_AgentStepMinority3(benchmark::State& state) {
-  const MinorityDynamics minority(3);
-  const MemorylessAsStateful adapter(minority);
-  const AgentParallelEngine engine(adapter);
-  const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
-  Rng rng(4);
-  auto population = engine.make_population(init_half(n, Opinion::kOne));
-  for (auto _ : state) {
-    engine.step(population, rng);
-    benchmark::DoNotOptimize(population.views.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_AgentStepMinority3)->Arg(1 << 10)->Arg(1 << 14);
-
-// Sharded engine, serial schedule: same workload as BM_AgentStepMinority3 so
-// the packed-plane + g-table speedup is read off directly.
+// Sharded engine, serial schedule: the O(n*l) agent-level round on the same
+// Minority(3) workload as the aggregate rows above (kAuto kernel dispatch).
 void BM_ShardedStepMinority3(benchmark::State& state) {
   const MinorityDynamics minority(3);
   const ShardedAgentEngine engine(minority, {.threads = 1});

@@ -26,8 +26,6 @@
 #include <vector>
 
 #include "core/init.h"
-#include "core/stateful.h"
-#include "engine/agent.h"
 #include "engine/sharded.h"
 #include "engine/stopping.h"
 #include "protocols/minority.h"
@@ -117,20 +115,6 @@ std::uint64_t ring_dual_coalescence_time(std::uint64_t n, Rng& rng,
   return cap;
 }
 
-// Ring Voter (l = 1) consensus time from the all-wrong start on the agent
-// engine, capped. Returns cap when censored.
-std::uint64_t ring_voter_consensus_time(const AgentParallelEngine& engine,
-                                        std::uint64_t n, Rng& rng,
-                                        std::uint64_t cap) {
-  auto population =
-      engine.make_population(init_all_wrong(n, Opinion::kOne));
-  for (std::uint64_t round = 0; round < cap; ++round) {
-    if (population.config().is_consensus()) return round;
-    engine.step(population, rng);
-  }
-  return cap;
-}
-
 void run(const BenchOptions& options) {
   print_banner("T1", "Topology seam: spread off the complete graph",
                options);
@@ -200,21 +184,22 @@ void run(const BenchOptions& options) {
   const std::uint64_t cap = 40 * voter_n * voter_n;
   const Topology voter_ring = Topology::ring(voter_n);
   const VoterDynamics voter;
-  const MemorylessAsStateful adapter(voter);
-  const AgentParallelEngine voter_engine(
-      adapter, AgentParallelEngine::Sampling::kWithReplacement, &voter_ring);
+  const ShardedAgentEngine voter_engine(voter, {.topology = &voter_ring});
+  StopRule voter_rule;
+  voter_rule.max_rounds = cap;
   const SeedSequence seeds(options.seed);
 
   RunningStats voter_stats, dual_stats;
   int censored = 0;
   const auto dual_start = std::chrono::steady_clock::now();
   for (int rep = 0; rep < reps; ++rep) {
-    Rng voter_rng = seeds.stream(0, static_cast<std::uint64_t>(rep),
-                                 /*phase=*/0);
-    const std::uint64_t t =
-        ring_voter_consensus_time(voter_engine, voter_n, voter_rng, cap);
-    if (t == cap) ++censored;
-    voter_stats.add(static_cast<double>(t));
+    // Ring Voter (l = 1) consensus time from the all-wrong start; a
+    // censored run counts as cap.
+    const RunResult voter_run =
+        voter_engine.run(init_all_wrong(voter_n, Opinion::kOne), voter_rule,
+                         seeds.derive(0, static_cast<std::uint64_t>(rep)));
+    if (!voter_run.converged()) ++censored;
+    voter_stats.add(static_cast<double>(voter_run.rounds()));
     Rng dual_rng = seeds.stream(0, static_cast<std::uint64_t>(rep),
                                 /*phase=*/1);
     dual_stats.add(static_cast<double>(

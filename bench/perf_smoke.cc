@@ -1,11 +1,11 @@
 // perf_smoke — the machine-readable perf-trajectory probe (registered as a
 // ctest, see bench/CMakeLists.txt).
 //
-// Runs the agent-level engines end-to-end on one fixed workload and writes
-// BENCH_engine.json with items/sec counters, so successive PRs can diff the
-// repo's throughput the same way EXPERIMENTS.md diffs its science. Kept
-// deliberately small (~seconds in --quick mode): it is a smoke probe, not a
-// statistics-grade benchmark — bench_micro_engine is the latter.
+// Runs the sharded and aggregate engines end-to-end on one fixed workload and
+// writes BENCH_engine.json with items/sec counters, so successive changes can
+// diff the repo's throughput the same way EXPERIMENTS.md diffs its science.
+// Kept deliberately small (~seconds in --quick mode): it is a smoke probe, not
+// a statistics-grade benchmark — bench_micro_engine is the latter.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -17,8 +17,6 @@
 #include "core/init.h"
 #include "engine/kernel/kernel.h"
 #include "profile/pmu.h"
-#include "core/stateful.h"
-#include "engine/agent.h"
 #include "engine/aggregate.h"
 #include "engine/alpha_sync.h"
 #include "engine/conflicting.h"
@@ -101,15 +99,6 @@ int main(int argc, char** argv) {
 
   std::vector<Measurement> results;
 
-  {
-    const MemorylessAsStateful adapter(minority);
-    const AgentParallelEngine engine(adapter);
-    auto population = engine.make_population(init);
-    Rng rng(1);
-    results.push_back(measure("agent_serial_step", 1, 1, rounds,
-                              updates_per_round,
-                              [&](std::uint64_t) { engine.step(population, rng); }));
-  }
   const SeedSequence seeds(2);
   for (const unsigned threads : {1u, hw}) {
     const ShardedAgentEngine engine(minority, {.threads = threads});
@@ -193,12 +182,7 @@ int main(int argc, char** argv) {
     }
     return 0.0;
   };
-  const double serial = rate("agent_serial_step");
   const double sharded1 = rate("sharded_step_threads1");
-  const double sharded_hw_rate = rate("sharded_step_threads_hw");
-  // Single-core hosts skip the _hw row; fall back to the 1-thread rate so the
-  // derived speedups stay well-defined (and equal) there.
-  const double sharded_hw = sharded_hw_rate > 0.0 ? sharded_hw_rate : sharded1;
 #ifdef NDEBUG
   const char* build_type = "Release";
 #else
@@ -206,7 +190,7 @@ int main(int argc, char** argv) {
 #endif
 
   JsonReporter reporter("engine");
-  reporter.set_seed(0);  // Fixed internal seeds (1, 2, 3); no --seed knob.
+  reporter.set_seed(0);  // Fixed internal seeds (2, 3, 4, 5); no --seed knob.
   reporter.set_quick(quick);
   reporter.set_workload("protocol", JsonValue("minority"));
   reporter.set_workload("n", JsonValue(n));
@@ -251,10 +235,6 @@ int main(int argc, char** argv) {
   kernel_info.set("available", std::move(backend_names));
   reporter.set_extra("kernel", std::move(kernel_info));
   JsonValue derived = JsonValue::object();
-  derived.set("sharded_1t_speedup_vs_agent_serial",
-              JsonValue(serial > 0 ? sharded1 / serial : 0.0));
-  derived.set("sharded_hw_speedup_vs_agent_serial",
-              JsonValue(serial > 0 ? sharded_hw / serial : 0.0));
   const double legacy_rate = rate("sharded_step_legacy");
   derived.set("kernel_speedup_vs_legacy",
               JsonValue(legacy_rate > 0 ? sharded1 / legacy_rate : 0.0));
@@ -283,12 +263,8 @@ int main(int argc, char** argv) {
     std::printf("  %-26s %2u thread(s)  %10.3f M items/s\n", m.name.c_str(),
                 m.threads, m.items_per_second / 1e6);
   }
-  std::printf("  sharded/serial speedup: %.2fx (1 thread), %.2fx (%u threads)\n",
-              serial > 0 ? sharded1 / serial : 0.0,
-              serial > 0 ? sharded_hw / serial : 0.0, hw);
-  const double legacy_print_rate = rate("sharded_step_legacy");
   std::printf("  kernel/legacy speedup:  %.2fx (auto backend: %s)\n",
-              legacy_print_rate > 0 ? sharded1 / legacy_print_rate : 0.0,
+              legacy_rate > 0 ? sharded1 / legacy_rate : 0.0,
               kernel::backend_name(kernel::resolve(kernel::Backend::kAuto)));
   std::cout << "wrote " << out_path << "\n";
 #ifndef NDEBUG

@@ -50,8 +50,9 @@ class StatefulProtocol {
   virtual std::string name() const = 0;
 };
 
-// Adapts a MemorylessProtocol to the stateful interface (one state). Lets the
-// agent-level engine run both kinds through a single code path.
+// Adapts a MemorylessProtocol to the stateful interface (one state), so code
+// written against StatefulProtocol takes both kinds. ShardedAgentEngine
+// unwraps it back onto its memory-less fast path.
 class MemorylessAsStateful final : public StatefulProtocol {
  public:
   explicit MemorylessAsStateful(const MemorylessProtocol& protocol) noexcept

@@ -34,8 +34,8 @@ class SequentialEngine {
   // The birth-death reduction above holds ONLY under uniform PULL (the
   // activated agent's sample law must depend on X alone). Like the aggregate
   // engine, a topology handle is accepted for interface symmetry but must be
-  // the complete graph (null = complete); use AgentSequentialEngine for
-  // sequential activation on structured graphs.
+  // the complete graph (null = complete). Sequential activation on
+  // structured graphs, or of stateful protocols, has no engine.
   explicit SequentialEngine(const MemorylessProtocol& protocol,
                             const Topology* topology = nullptr) noexcept
       : protocol_(&protocol), topology_(topology) {

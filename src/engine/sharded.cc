@@ -285,8 +285,8 @@ ShardedAgentEngine::Population ShardedAgentEngine::make_population(
   const std::uint64_t words = (config.n + 63) / 64;
   population.current_.assign(words, 0);
   population.next_.assign(words, 0);
-  // Layout identical to AgentParallelEngine: sources first, then non-source
-  // ones, then non-source zeros — so the ones form one contiguous range.
+  // Sources first, then non-source ones, then non-source zeros — so the ones
+  // form one contiguous range.
   if (config.correct == Opinion::kOne) {
     set_bit_range(population.current_, 0, config.ones);
   } else {

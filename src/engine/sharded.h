@@ -1,11 +1,11 @@
 // The sharded agent-level engine: deterministic multithreaded rounds over a
 // bit-packed, double-buffered opinion plane.
 //
-// AgentParallelEngine (engine/agent.h) is the reference per-agent simulator:
-// single-threaded, one byte per opinion, a fresh snapshot per round. This
-// engine is its scale-out rebuild for the workloads the aggregate reduction
-// cannot serve — stateful protocols, adversarial internal states, and
-// cross-validation at large n — built around three ideas:
+// The library's one per-agent simulator, for the workloads the aggregate
+// reduction cannot serve — stateful protocols, adversarial internal states,
+// structured topologies, and cross-validation at large n. Its stateful path
+// is checked in law against the naive per-agent round in
+// tests/naive_agent_oracle.h. Built around three ideas:
 //
 //  1. *Deterministic sharding.* Agents are partitioned into fixed 4096-agent
 //     blocks, and every (round, block) pair owns a SeedSequence-derived RNG
@@ -35,15 +35,17 @@
 #include "core/configuration.h"
 #include "core/protocol.h"
 #include "core/stateful.h"
-#include "engine/agent.h"
 #include "engine/kernel/kernel.h"
 #include "engine/stopping.h"
 #include "engine/trajectory.h"
+#include "faults/environment.h"
 #include "random/floyd.h"
 #include "random/seeding.h"
 #include "topology/topology.h"
 
 namespace bitspread {
+
+class FaultSession;
 
 struct ShardedEngineOptions {
   // Worker threads per round (0 = hardware concurrency). Never affects
@@ -52,8 +54,11 @@ struct ShardedEngineOptions {
   // Scheduling chunks the blocks are grouped into per round (0 = one
   // chunk per block). Never affects results.
   std::uint32_t shards = 0;
-  AgentParallelEngine::Sampling sampling =
-      AgentParallelEngine::Sampling::kWithReplacement;
+  enum class Sampling {
+    kWithReplacement,    // The paper's model: l u.a.r. draws from all agents.
+    kWithoutReplacement  // Distinct-agent samples (Floyd's algorithm).
+  };
+  Sampling sampling = Sampling::kWithReplacement;
   // Step-kernel backend (engine/kernel/kernel.h). kAuto engages the fastest
   // bitslice backend whenever the round is eligible ({0,1/2,1}-valued
   // g-table, n < 2^32, l <= 128); ineligible rounds — and kLegacy — take
@@ -73,7 +78,7 @@ struct ShardedEngineOptions {
 
 class ShardedAgentEngine {
  public:
-  using Sampling = AgentParallelEngine::Sampling;
+  using Sampling = ShardedEngineOptions::Sampling;
   using Options = ShardedEngineOptions;
 
   // The fixed randomness/ownership unit: 64 words of 64 agents. Block
@@ -92,8 +97,8 @@ class ShardedAgentEngine {
                               Options options = {}) noexcept;
 
   // The packed population. Index i < source_count() is a source agent;
-  // layout matches AgentParallelEngine::make_population (sources, then
-  // non-source ones, then non-source zeros).
+  // make_population lays out sources, then non-source ones, then non-source
+  // zeros (agent order never matters: the model is fully anonymous).
   class Population {
    public:
     std::uint64_t size() const noexcept { return n_; }

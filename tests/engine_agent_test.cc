@@ -1,10 +1,13 @@
-// The agent-level engine: population handling, the memory-less adapter, and
-// the stateful dynamics (undecided-state, trend-follower).
+// The agent-level engine's per-agent update path: population handling for
+// stateful protocols, memory-less dynamics run through the stateful
+// interface, and the stateful dynamics (undecided-state, trend-follower).
+// tests/engine_sharded_test.cc covers the memory-less fast path.
 #include <gtest/gtest.h>
 
 #include "core/init.h"
 #include "core/stateful.h"
-#include "engine/agent.h"
+#include "engine/sharded.h"
+#include "naive_agent_oracle.h"
 #include "protocols/follow_trend.h"
 #include "protocols/minority.h"
 #include "protocols/undecided.h"
@@ -14,68 +17,69 @@ namespace bitspread {
 namespace {
 
 TEST(AgentEngine, PopulationLayoutMatchesConfiguration) {
-  const VoterDynamics voter;
-  const MemorylessAsStateful adapter(voter);
-  const AgentParallelEngine engine(adapter);
+  const UndecidedStateDynamics usd;
+  const ShardedAgentEngine engine(usd);
   const Configuration config{10, 4, Opinion::kOne};
   const auto population = engine.make_population(config);
-  EXPECT_EQ(population.views.size(), 10u);
+  EXPECT_EQ(population.size(), 10u);
   EXPECT_EQ(population.count_ones(), 4u);
-  EXPECT_EQ(population.views[0].opinion, Opinion::kOne);  // Source first.
+  EXPECT_EQ(population.opinion(0), Opinion::kOne);  // Source first.
   EXPECT_EQ(population.config(), config);
+  for (std::uint64_t i = 0; i < population.size(); ++i) {
+    EXPECT_EQ(population.state(i),
+              usd.initial_view(population.opinion(i)).state);
+  }
 }
 
 TEST(AgentEngine, SourceIsPinnedAcrossSteps) {
-  const VoterDynamics voter;
-  const MemorylessAsStateful adapter(voter);
-  const AgentParallelEngine engine(adapter);
-  Rng rng(1);
+  const UndecidedStateDynamics usd;
+  const ShardedAgentEngine engine(usd);
+  const SeedSequence seeds(1);
   auto population =
       engine.make_population(Configuration{20, 1, Opinion::kOne});
-  for (int t = 0; t < 50; ++t) {
-    engine.step(population, rng);
-    EXPECT_EQ(population.views[0].opinion, Opinion::kOne);
+  for (std::uint64_t t = 0; t < 50; ++t) {
+    engine.step(population, t, seeds);
+    EXPECT_EQ(population.opinion(0), Opinion::kOne);
   }
 }
 
 TEST(AgentEngine, ConsensusAbsorbingForMinority) {
   const MinorityDynamics minority(3);
-  const MemorylessAsStateful adapter(minority);
-  const AgentParallelEngine engine(adapter);
-  Rng rng(2);
+  const OpaqueStateful stateful(minority);
+  const ShardedAgentEngine engine(stateful);
+  ASSERT_FALSE(engine.memoryless_fast_path());
+  const SeedSequence seeds(2);
   auto population =
       engine.make_population(correct_consensus(50, Opinion::kOne));
-  for (int t = 0; t < 20; ++t) {
-    engine.step(population, rng);
+  for (std::uint64_t t = 0; t < 20; ++t) {
+    engine.step(population, t, seeds);
     EXPECT_EQ(population.count_ones(), 50u);
   }
 }
 
 TEST(AgentEngine, RunConvergesOnSmallInstance) {
   const VoterDynamics voter;
-  const MemorylessAsStateful adapter(voter);
-  const AgentParallelEngine engine(adapter);
-  Rng rng(3);
+  const OpaqueStateful stateful(voter);
+  const ShardedAgentEngine engine(stateful);
   StopRule rule;
   rule.max_rounds = 200000;
   const RunResult result =
-      engine.run(init_all_wrong(30, Opinion::kOne), rule, rng);
+      engine.run(init_all_wrong(30, Opinion::kOne), rule, 3);
   EXPECT_TRUE(result.converged()) << to_string(result.reason);
 }
 
 TEST(AgentEngine, OneRoundMeanMatchesExpectation) {
   // Voter: each non-source agent independently becomes 1 w.p. p = x/n.
   const VoterDynamics voter;
-  const MemorylessAsStateful adapter(voter);
-  const AgentParallelEngine engine(adapter);
-  Rng rng(4);
+  const OpaqueStateful stateful(voter);
+  const ShardedAgentEngine engine(stateful);
   const std::uint64_t n = 2000, x0 = 600;
   double total = 0.0;
   const int kTrials = 200;
   for (int i = 0; i < kTrials; ++i) {
     auto population =
         engine.make_population(Configuration{n, x0, Opinion::kOne});
-    engine.step(population, rng);
+    engine.step(population, 0, SeedSequence(4000 + i));
     total += static_cast<double>(population.count_ones());
   }
   const double expected = 1.0 + static_cast<double>(n - 1) * 0.3;
@@ -84,28 +88,29 @@ TEST(AgentEngine, OneRoundMeanMatchesExpectation) {
 
 TEST(AgentEngine, WithoutReplacementSampling) {
   const MinorityDynamics minority(5);
-  const MemorylessAsStateful adapter(minority);
-  const AgentParallelEngine engine(
-      adapter, AgentParallelEngine::Sampling::kWithoutReplacement);
-  Rng rng(5);
+  const OpaqueStateful stateful(minority);
+  const ShardedAgentEngine engine(
+      stateful,
+      {.sampling = ShardedAgentEngine::Sampling::kWithoutReplacement});
   StopRule rule;
   rule.max_rounds = 500;
   const RunResult result =
-      engine.run(init_half(60, Opinion::kOne), rule, rng);
+      engine.run(init_half(60, Opinion::kOne), rule, 5);
   EXPECT_NE(result.reason, StopReason::kIntervalExit);
   EXPECT_TRUE(result.final_config.valid());
 }
 
 TEST(UndecidedState, ConvergesToInitialMajority) {
   // USD is majority-biased: from a 70% correct-opinion start it reaches the
-  // correct display consensus quickly.
+  // correct display consensus quickly — here across several blocks.
   const UndecidedStateDynamics usd;
-  const AgentParallelEngine engine(usd);
-  Rng rng(6);
+  const ShardedAgentEngine engine(usd, {.threads = 2});
   StopRule rule;
   rule.max_rounds = 100000;
   const RunResult result = engine.run(
-      init_fraction_ones(40, Opinion::kOne, 0.7), rule, rng);
+      init_fraction_ones(3 * ShardedAgentEngine::kBlockAgents + 17,
+                         Opinion::kOne, 0.7),
+      rule, 6);
   EXPECT_TRUE(result.converged()) << to_string(result.reason);
 }
 
@@ -114,12 +119,11 @@ TEST(UndecidedState, FailsBitDisseminationFromAllWrong) {
   // from an all-wrong start the wrong local majority pins the system and the
   // correct opinion does not spread within a generous horizon.
   const UndecidedStateDynamics usd;
-  const AgentParallelEngine engine(usd);
-  Rng rng(61);
+  const ShardedAgentEngine engine(usd);
   StopRule rule;
   rule.max_rounds = 3000;
   const RunResult result =
-      engine.run(init_all_wrong(40, Opinion::kOne), rule, rng);
+      engine.run(init_all_wrong(40, Opinion::kOne), rule, 61);
   EXPECT_EQ(result.reason, StopReason::kRoundLimit);
   // The ones-count stays pinned near the source alone.
   EXPECT_LT(result.final_config.ones, 10u);
@@ -167,34 +171,32 @@ TEST(TrendFollower, UpdateFollowsTrend) {
 
 TEST(TrendFollower, DisplayConsensusIsStable) {
   const TrendFollowerDynamics trend(SampleSizePolicy::constant(6));
-  const AgentParallelEngine engine(trend);
-  Rng rng(9);
+  const ShardedAgentEngine engine(trend);
+  const SeedSequence seeds(9);
   auto population =
       engine.make_population(correct_consensus(50, Opinion::kOne));
-  for (int t = 0; t < 20; ++t) {
-    engine.step(population, rng);
+  for (std::uint64_t t = 0; t < 20; ++t) {
+    engine.step(population, t, seeds);
     EXPECT_EQ(population.count_ones(), 50u);
   }
 }
 
 TEST(AgentEngine, RunsFromAdversarialInternalStates) {
   // Engines must accept ANY internal state (self-stabilization quantifies
-  // over them): plant every agent as "undecided" in a 70%-correct start and
-  // verify the run still reaches the correct display consensus.
-  const UndecidedStateDynamics usd;
-  const AgentParallelEngine engine(usd);
-  Rng rng(10);
-  auto population = engine.make_population(
-      init_fraction_ones(30, Opinion::kOne, 0.7));
-  for (auto& view : population.views) {
-    view.state = UndecidedStateDynamics::kUndecided;
+  // over them). Every trend-follower remembers the largest possible count,
+  // so its first reading looks like a fall and drives it to the wrong
+  // opinion; the run must still reach the correct display consensus.
+  const std::uint64_t n = 256;
+  const TrendFollowerDynamics trend(SampleSizePolicy::log_n(2.0), n);
+  const ShardedAgentEngine engine(trend);
+  auto population =
+      engine.make_population(init_fraction_ones(n, Opinion::kOne, 0.7));
+  for (std::uint64_t i = 1; i < n; ++i) {
+    population.set_state(i, trend.sample_size(n));
   }
-  // Re-pin the source (its view was perturbed above).
-  population.views[0] = StatefulProtocol::AgentView{
-      Opinion::kOne, UndecidedStateDynamics::kCommitted};
   StopRule rule;
   rule.max_rounds = 100000;
-  const RunResult result = engine.run_population(population, rule, rng);
+  const RunResult result = engine.run_population(population, rule, 10);
   EXPECT_TRUE(result.converged()) << to_string(result.reason);
 }
 

@@ -1,13 +1,14 @@
-// Distribution-identity cross-checks between the three representations of
-// the same dynamics: the aggregate engine, the agent-level engine, and the
-// exact dense Markov chain. These tests are the empirical backbone of the
-// aggregate-chain reduction (DESIGN.md §3).
+// Distribution-identity cross-checks between the representations of the same
+// dynamics: the aggregate engine, the sharded agent-level engine (its
+// memory-less fast path and its per-agent update path), the naive per-agent
+// oracle, and the exact dense Markov chain. These tests are the empirical
+// backbone of the aggregate-chain reduction (DESIGN.md §3).
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "core/init.h"
 #include "core/stateful.h"
-#include "engine/agent.h"
 #include "engine/aggregate.h"
 #include "engine/alpha_sync.h"
 #include "engine/conflicting.h"
@@ -15,8 +16,11 @@
 #include "faults/environment.h"
 #include "markov/absorption.h"
 #include "markov/dense_chain.h"
+#include "naive_agent_oracle.h"
+#include "protocols/follow_trend.h"
 #include "protocols/minority.h"
 #include "protocols/three_majority.h"
+#include "protocols/undecided.h"
 #include "protocols/voter.h"
 #include "stats/ks.h"
 #include "stats/summary.h"
@@ -48,33 +52,79 @@ TEST(CrossValidation, AggregateStepMatchesExactChainRow) {
       << "stat=" << stat << " dof=" << dof;
 }
 
-// One-step distribution of the AGENT engine against the exact chain row.
+// One-step distribution of the per-agent update step against the exact
+// chain row, taken twice: by the sharded engine's stateful path and by the
+// naive oracle the stateful laws below are checked against.
 TEST(CrossValidation, AgentStepMatchesExactChainRow) {
   const ThreeMajorityDynamics three;
   const std::uint64_t n = 24;
   const std::uint64_t x0 = 10;
   const DenseParallelChain chain(three, n, Opinion::kZero);
   const std::vector<double> expected = chain.transition_row(x0);
+  const Configuration start{n, x0, Opinion::kZero};
 
-  const MemorylessAsStateful adapter(three);
-  const AgentParallelEngine engine(adapter);
+  const OpaqueStateful stateful(three);
+  const ShardedAgentEngine engine(stateful);
+  ASSERT_FALSE(engine.memoryless_fast_path());
   Rng rng(2);
   const int kTrials = 30000;
-  std::vector<std::uint64_t> counts(chain.state_count(), 0);
+  std::vector<std::uint64_t> engine_counts(chain.state_count(), 0);
+  std::vector<std::uint64_t> oracle_counts(chain.state_count(), 0);
   for (int i = 0; i < kTrials; ++i) {
-    auto population =
-        engine.make_population(Configuration{n, x0, Opinion::kZero});
-    engine.step(population, rng);
-    ++counts[population.count_ones() - chain.min_state()];
+    auto population = engine.make_population(start);
+    engine.step(population, 0, SeedSequence(2000 + i));
+    ++engine_counts[population.count_ones() - chain.min_state()];
+    oracle::Views views = oracle::make_views(stateful, start);
+    oracle::step(stateful, views, start.sources, rng);
+    ++oracle_counts[oracle::count_ones(views) - chain.min_state()];
   }
-  int dof = 0;
-  const double stat = chi_square_statistic(counts, expected, kTrials, &dof);
-  EXPECT_GT(chi_square_p_value(stat, dof), 1e-4)
-      << "stat=" << stat << " dof=" << dof;
+  for (const auto* counts : {&engine_counts, &oracle_counts}) {
+    int dof = 0;
+    const double stat =
+        chi_square_statistic(*counts, expected, kTrials, &dof);
+    EXPECT_GT(chi_square_p_value(stat, dof), 1e-4)
+        << (counts == &engine_counts ? "engine" : "oracle")
+        << " stat=" << stat << " dof=" << dof;
+  }
 }
 
-// Full-trajectory comparison: convergence-time samples from the two engines
-// are drawn from the same law (KS test).
+// The sharded engine's stateful path against the naive oracle: convergence
+// times follow the same law (KS) for USD from a 70% correct start and for
+// the trend-follower from the all-wrong start.
+TEST(CrossValidation, StatefulConvergenceLawsMatchNaiveOracle) {
+  const std::uint64_t n = 64;
+  const UndecidedStateDynamics usd;
+  const TrendFollowerDynamics trend(SampleSizePolicy::log_n(2.0), n);
+  struct Case {
+    const StatefulProtocol* protocol;
+    Configuration start;
+  };
+  const Case cases[] = {{&usd, init_fraction_ones(n, Opinion::kOne, 0.7)},
+                        {&trend, init_all_wrong(n, Opinion::kOne)}};
+  StopRule rule;
+  rule.max_rounds = 100000;
+  const int kTrials = 400;
+  for (const Case& c : cases) {
+    const ShardedAgentEngine engine(*c.protocol);
+    std::vector<double> engine_times, oracle_times;
+    for (int i = 0; i < kTrials; ++i) {
+      const RunResult result =
+          engine.run(c.start, rule, 140000 + static_cast<std::uint64_t>(i));
+      ASSERT_TRUE(result.converged()) << c.protocol->name();
+      engine_times.push_back(static_cast<double>(result.rounds()));
+      Rng rng(150000 + i);
+      oracle_times.push_back(static_cast<double>(oracle::rounds_to_consensus(
+          *c.protocol, c.start, rule.max_rounds, rng)));
+    }
+    const double d = ks_statistic(engine_times, oracle_times);
+    EXPECT_GT(ks_p_value(d, engine_times.size(), oracle_times.size()), 1e-3)
+        << c.protocol->name() << " KS=" << d;
+  }
+}
+
+// Full-trajectory comparison: convergence-time samples from the aggregate
+// engine and from the sharded engine's per-agent update path are drawn from
+// the same law (KS test).
 TEST(CrossValidation, ConvergenceTimeLawsAgreeAcrossEngines) {
   // Voter converges from any start in O(n log n) rounds, so every replicate
   // finishes. (Minority with constant l would stall at its interior fixed
@@ -85,17 +135,18 @@ TEST(CrossValidation, ConvergenceTimeLawsAgreeAcrossEngines) {
   rule.max_rounds = 1000000;
 
   const AggregateParallelEngine aggregate(voter);
-  const MemorylessAsStateful adapter(voter);
-  const AgentParallelEngine agent(adapter);
+  const OpaqueStateful stateful(voter);
+  const ShardedAgentEngine agent(stateful);
+  ASSERT_FALSE(agent.memoryless_fast_path());
 
   const int kTrials = 400;
   std::vector<double> agg_times, agent_times;
   for (int i = 0; i < kTrials; ++i) {
-    Rng rng_a(10000 + i), rng_b(20000 + i);
+    Rng rng_a(10000 + i);
     const RunResult a =
         aggregate.run(Configuration{n, 10, Opinion::kOne}, rule, rng_a);
-    const RunResult b =
-        agent.run(Configuration{n, 10, Opinion::kOne}, rule, rng_b);
+    const RunResult b = agent.run(Configuration{n, 10, Opinion::kOne}, rule,
+                                  20000 + static_cast<std::uint64_t>(i));
     ASSERT_TRUE(a.converged());
     ASSERT_TRUE(b.converged());
     agg_times.push_back(static_cast<double>(a.rounds()));
@@ -165,15 +216,15 @@ TEST(CrossValidation, ShardedAndAggregateConvergenceLawsAgree) {
 // where rejection degenerated. Floyd's method handles it in O(l).
 TEST(CrossValidation, WithoutReplacementFullSampleBoundary) {
   const MinorityDynamics minority(100);
-  const MemorylessAsStateful adapter(minority);
-  const AgentParallelEngine engine(
-      adapter, AgentParallelEngine::Sampling::kWithoutReplacement);
-  Rng rng(9);
+  const OpaqueStateful stateful(minority);
+  const ShardedAgentEngine engine(
+      stateful,
+      {.sampling = ShardedAgentEngine::Sampling::kWithoutReplacement});
   const std::uint64_t n = 100;
   auto population =
       engine.make_population(Configuration{n, 40, Opinion::kOne});
-  engine.step(population, rng);
-  EXPECT_EQ(population.views.size(), n);
+  engine.step(population, 0, SeedSequence(9));
+  EXPECT_EQ(population.size(), n);
   EXPECT_TRUE(population.config().valid());
 }
 

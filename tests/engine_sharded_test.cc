@@ -1,6 +1,6 @@
 // The sharded agent-level engine: the determinism contract (bit-identical
-// results for every thread count and shard count), agreement with the
-// reference engines, and the stateful/adversarial paths.
+// results for every thread count and shard count), agreement with the exact
+// chain and the naive per-agent reference, and the stateful/adversarial paths.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,9 +8,9 @@
 
 #include "core/init.h"
 #include "core/stateful.h"
-#include "engine/agent.h"
 #include "engine/sharded.h"
 #include "markov/dense_chain.h"
+#include "naive_agent_oracle.h"
 #include "protocols/minority.h"
 #include "protocols/three_majority.h"
 #include "protocols/undecided.h"
@@ -153,7 +153,8 @@ TEST(ShardedEngine, CountOnesStaysConsistentWithPlane) {
 
 TEST(ShardedEngine, OneStepMatchesExactChainRow) {
   // One-step distribution against the exact dense-chain row, like the
-  // aggregate and agent engines in engine_cross_validation_test.cc.
+  // aggregate engine and the per-agent update path in
+  // engine_cross_validation_test.cc.
   const ThreeMajorityDynamics three;
   const std::uint64_t n = 24;
   const std::uint64_t x0 = 10;
@@ -194,7 +195,7 @@ TEST(ShardedEngine, AdapterUnwrapsToFastPath) {
 
 TEST(ShardedEngine, StatefulUndecidedConverges) {
   // The generic (virtual-update) path: USD from a 70% correct start reaches
-  // the correct display consensus, matching the agent engine's behavior.
+  // the correct display consensus.
   const UndecidedStateDynamics usd;
   const ShardedAgentEngine engine(usd, {.threads = 2});
   EXPECT_FALSE(engine.memoryless_fast_path());
@@ -278,29 +279,30 @@ TEST(ShardedEngine, WithoutReplacementBitIdenticalAcrossThreads) {
 }
 
 TEST(ShardedEngine, AgreesWithAgentEngineInLaw) {
-  // Convergence-time samples from the sharded and the reference agent
-  // engine are drawn from the same distribution (KS).
+  // Convergence-time samples from the sharded fast path and the naive
+  // per-agent reference round are drawn from the same distribution (KS).
   const VoterDynamics voter;
   const std::uint64_t n = 30;
+  const Configuration start{n, 10, Opinion::kOne};
   StopRule rule;
   rule.max_rounds = 1000000;
 
   const ShardedAgentEngine sharded(voter, {.threads = 2});
+  ASSERT_TRUE(sharded.memoryless_fast_path());
   const MemorylessAsStateful adapter(voter);
-  const AgentParallelEngine agent(adapter);
 
   const int kTrials = 400;
   std::vector<double> sharded_times, agent_times;
   for (int i = 0; i < kTrials; ++i) {
-    const RunResult a = sharded.run(Configuration{n, 10, Opinion::kOne}, rule,
-                                    40000 + static_cast<std::uint64_t>(i));
+    const RunResult a =
+        sharded.run(start, rule, 40000 + static_cast<std::uint64_t>(i));
     Rng rng(50000 + i);
-    const RunResult b =
-        agent.run(Configuration{n, 10, Opinion::kOne}, rule, rng);
+    const std::uint64_t b =
+        oracle::rounds_to_consensus(adapter, start, rule.max_rounds, rng);
     ASSERT_TRUE(a.converged());
-    ASSERT_TRUE(b.converged());
+    ASSERT_LT(b, rule.max_rounds);
     sharded_times.push_back(static_cast<double>(a.rounds()));
-    agent_times.push_back(static_cast<double>(b.rounds()));
+    agent_times.push_back(static_cast<double>(b));
   }
   const double d = ks_statistic(sharded_times, agent_times);
   EXPECT_GT(ks_p_value(d, sharded_times.size(), agent_times.size()), 1e-3)

@@ -1,8 +1,9 @@
 // The topology seam end-to-end: a complete-graph handle is BIT-identical to
 // the pre-topology engines (null handle), kernel dispatch keeps engaging on
 // complete graphs and reports why it falls back on structured ones, sharded
-// ring runs stay bit-identical across thread/shard counts, the sharded and
-// per-agent engines agree in law on a ring, a faulty ring run
+// ring runs stay bit-identical across thread/shard counts, the sharded
+// engine's fast path and per-agent update path agree in law on a ring, a
+// faulty ring run
 // checkpoint/restores digest-identically while a mismatched graph is
 // refused, and — the cross-validation tentpole — ring-voter consensus times
 // match the backward coalescing-random-walk dual (the E1 dual of
@@ -18,12 +19,12 @@
 
 #include "core/configuration.h"
 #include "core/init.h"
-#include "core/stateful.h"
-#include "engine/agent.h"
 #include "engine/sharded.h"
 #include "engine/stopping.h"
 #include "faults/environment.h"
+#include "naive_agent_oracle.h"
 #include "protocols/minority.h"
+#include "protocols/undecided.h"
 #include "protocols/voter.h"
 #include "random/rng.h"
 #include "snapshot/checkpoint.h"
@@ -81,35 +82,29 @@ StopRule capped(std::uint64_t max_rounds) {
 
 // --- Bit-identity of the complete-graph handle ---------------------------
 
-TEST(TopologySeam, CompleteHandleIsBitIdenticalOnAgentEngine) {
-  const MinorityDynamics minority(3);
-  const MemorylessAsStateful adapter(minority);
+// The per-agent update path (a stateful protocol): the explicit complete
+// handle replays the null handle's draws, with and without replacement.
+void expect_complete_handle_bit_identical(ShardedAgentEngine::Sampling sampling,
+                                          std::uint64_t seed) {
+  const UndecidedStateDynamics usd;
   const Topology complete = Topology::complete(1000);
-  const AgentParallelEngine null_handle(adapter);
-  const AgentParallelEngine explicit_handle(
-      adapter, AgentParallelEngine::Sampling::kWithReplacement, &complete);
+  const ShardedAgentEngine null_handle(usd, {.sampling = sampling});
+  const ShardedAgentEngine explicit_handle(
+      usd, {.sampling = sampling, .topology = &complete});
   const Configuration init = init_fraction_ones(1000, Opinion::kOne, 0.5);
-  Rng rng_a(7), rng_b(7);
-  const RunResult a = null_handle.run(init, capped(50), rng_a);
-  const RunResult b = explicit_handle.run(init, capped(50), rng_b);
-  EXPECT_EQ(snapshot::payload_digest(a), snapshot::payload_digest(b));
-  EXPECT_EQ(rng_a(), rng_b()) << "draw sequences diverged";
+  EXPECT_EQ(snapshot::payload_digest(null_handle.run(init, capped(50), seed)),
+            snapshot::payload_digest(
+                explicit_handle.run(init, capped(50), seed)));
+}
+
+TEST(TopologySeam, CompleteHandleIsBitIdenticalOnAgentEngine) {
+  expect_complete_handle_bit_identical(
+      ShardedAgentEngine::Sampling::kWithReplacement, 7);
 }
 
 TEST(TopologySeam, CompleteHandleIsBitIdenticalOnAgentEngineDistinct) {
-  const MinorityDynamics minority(3);
-  const MemorylessAsStateful adapter(minority);
-  const Topology complete = Topology::complete(1000);
-  const AgentParallelEngine null_handle(
-      adapter, AgentParallelEngine::Sampling::kWithoutReplacement);
-  const AgentParallelEngine explicit_handle(
-      adapter, AgentParallelEngine::Sampling::kWithoutReplacement, &complete);
-  const Configuration init = init_fraction_ones(1000, Opinion::kOne, 0.5);
-  Rng rng_a(8), rng_b(8);
-  const RunResult a = null_handle.run(init, capped(50), rng_a);
-  const RunResult b = explicit_handle.run(init, capped(50), rng_b);
-  EXPECT_EQ(snapshot::payload_digest(a), snapshot::payload_digest(b));
-  EXPECT_EQ(rng_a(), rng_b()) << "draw sequences diverged";
+  expect_complete_handle_bit_identical(
+      ShardedAgentEngine::Sampling::kWithoutReplacement, 8);
 }
 
 TEST(TopologySeam, CompleteHandleIsBitIdenticalOnShardedEngine) {
@@ -185,22 +180,21 @@ TEST(TopologySeam, ShardedRingRunIsBitIdenticalAcrossThreadsAndShards) {
 }
 
 TEST(TopologySeam, ShardedMatchesAgentEngineInLawOnRing) {
-  // Same ring, same protocol, different engines (and different stream
-  // schedules): the consensus-time laws must agree (KS).
+  // Same ring, same protocol, two update paths of the sharded engine (the
+  // g-table fast path and the per-agent stateful update): the
+  // consensus-time laws must agree (KS).
   const VoterDynamics voter(1);
-  const MemorylessAsStateful adapter(voter);
+  const OpaqueStateful stateful(voter);
   const std::uint64_t n = 32;
   const Topology ring = Topology::ring(n);
-  const AgentParallelEngine agent(
-      adapter, AgentParallelEngine::Sampling::kWithReplacement, &ring);
+  const ShardedAgentEngine agent(stateful, {.topology = &ring});
   const ShardedAgentEngine sharded(voter, {.threads = 2, .topology = &ring});
   const StopRule rule = capped(1000000);
 
   const int kTrials = 150;
   std::vector<double> agent_times, sharded_times;
   for (int i = 0; i < kTrials; ++i) {
-    Rng rng(50000 + i);
-    const RunResult a = agent.run(all_wrong(n), rule, rng);
+    const RunResult a = agent.run(all_wrong(n), rule, 50000 + i);
     const RunResult b = sharded.run(all_wrong(n), rule, 60000 + i);
     ASSERT_TRUE(a.converged());
     ASSERT_TRUE(b.converged());
@@ -317,25 +311,23 @@ std::uint64_t ring_dual_coalescence_time(std::uint64_t n, Rng& rng) {
 }
 
 TEST(TopologySeam, RingVoterConsensusMatchesCoalescingDual) {
-  // E1 extended to the ring: the agent engine's ring-voter consensus time
+  // E1 extended to the ring: the sharded engine's ring-voter consensus time
   // from the all-wrong start equals (in law) the dual's last-coalescence
   // time. This cross-validates the CSR sampling seam against an
   // independently-coded process — an error in row construction or in the
   // per-agent draw law shifts the Theta(n^2) consensus time and fails the
   // KS comparison.
   const VoterDynamics voter(1);
-  const MemorylessAsStateful adapter(voter);
   const std::uint64_t n = 32;
   const Topology ring = Topology::ring(n);
-  const AgentParallelEngine engine(
-      adapter, AgentParallelEngine::Sampling::kWithReplacement, &ring);
+  const ShardedAgentEngine engine(voter, {.topology = &ring});
   const StopRule rule = capped(1000000);
 
   const int kTrials = 250;
   std::vector<double> engine_times, dual_times;
   for (int i = 0; i < kTrials; ++i) {
-    Rng engine_rng(70000 + i), dual_rng(80000 + i);
-    const RunResult result = engine.run(all_wrong(n), rule, engine_rng);
+    Rng dual_rng(80000 + i);
+    const RunResult result = engine.run(all_wrong(n), rule, 70000 + i);
     ASSERT_TRUE(result.converged());
     engine_times.push_back(static_cast<double>(result.rounds()));
     dual_times.push_back(

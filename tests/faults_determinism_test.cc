@@ -1,24 +1,24 @@
 // The fault paths keep the engines' exactness and determinism contracts:
 //  * the sharded engine's faulty runs are bit-identical for every thread
 //    count and shard count, with the full fault model active;
-//  * the agent-level operational noise (per-probe BSC bit flips) follows the
-//    same law as the exact NoisyObservationProtocol closed form, checked by
-//    chi-square against the dense Markov chain;
-//  * the zealot geometry is distribution-identical between the agent and
-//    aggregate faulty paths.
+//  * the sharded engine's operational noise (per-probe BSC bit flips) follows
+//    the same law as the exact NoisyObservationProtocol closed form, checked
+//    by chi-square against the dense Markov chain, on both its fast path and
+//    its per-agent update path;
+//  * the zealot geometry is distribution-identical between the per-agent
+//    update path and the aggregate faulty path.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/init.h"
-#include "core/stateful.h"
-#include "engine/agent.h"
 #include "engine/aggregate.h"
 #include "engine/sharded.h"
 #include "faults/environment.h"
 #include "faults/noisy_protocol.h"
 #include "faults/session.h"
 #include "markov/dense_chain.h"
+#include "naive_agent_oracle.h"
 #include "protocols/minority.h"
 #include "protocols/voter.h"
 #include "random/binomial.h"
@@ -108,9 +108,9 @@ TEST(FaultDeterminism, FaultySeedStreamsDifferFromFaultFree) {
   EXPECT_NE(plain.final_config.ones, faulty.final_config.ones);
 }
 
-// Operational per-probe bit flips in the agent engine, against the exact
-// dense chain of the NoisyObservationProtocol: one faulty step from x0 must
-// follow the closed-form transition row.
+// Operational per-probe bit flips on the sharded engine's per-agent update
+// path, against the exact dense chain of the NoisyObservationProtocol: one
+// faulty step from x0 must follow the closed-form transition row.
 TEST(FaultDeterminism, AgentNoisyStepMatchesExactNoisyChainRow) {
   const MinorityDynamics minority(3);
   EnvironmentModel model;
@@ -121,16 +121,15 @@ TEST(FaultDeterminism, AgentNoisyStepMatchesExactNoisyChainRow) {
   const DenseParallelChain chain(noisy, n, Opinion::kOne);
   const std::vector<double> expected = chain.transition_row(x0);
 
-  const MemorylessAsStateful adapter(minority);
-  const AgentParallelEngine engine(adapter);
+  const OpaqueStateful stateful(minority);
+  const ShardedAgentEngine engine(stateful);
   StopRule rule;
   rule.max_rounds = 1;
   const int kTrials = 40000;
   std::vector<std::uint64_t> counts(chain.state_count(), 0);
   for (int i = 0; i < kTrials; ++i) {
-    Rng rng(9000 + i);
-    const RunResult result =
-        engine.run(Configuration{n, x0, Opinion::kOne}, rule, model, rng);
+    const RunResult result = engine.run(Configuration{n, x0, Opinion::kOne},
+                                        rule, model, 9000 + i);
     ++counts[result.final_config.ones - chain.min_state()];
   }
   int dof = 0;
@@ -166,7 +165,7 @@ TEST(FaultDeterminism, ShardedNoisyStepMatchesExactNoisyChainRow) {
       << "stat=" << stat << " dof=" << dof;
 }
 
-// Zealot geometry: one faulty agent-engine round under noise + zealots must
+// Zealot geometry: one faulty per-agent-path round under noise + zealots must
 // follow the aggregate closed form
 //   ones' = sources + zealot_ones + Bin(free_ones, P1) + Bin(free_zeros, P0)
 // with P_b evaluated at the noisy fraction.
@@ -198,15 +197,14 @@ TEST(FaultDeterminism, AgentZealotStepMatchesAggregateClosedForm) {
   const std::uint64_t offset =
       planted.source_ones() + session.zealot_ones();
 
-  const MemorylessAsStateful adapter(minority);
-  const AgentParallelEngine engine(adapter);
+  const OpaqueStateful stateful(minority);
+  const ShardedAgentEngine engine(stateful);
   StopRule rule;
   rule.max_rounds = 1;
   const int kTrials = 20000;
   std::vector<std::uint64_t> counts(expected.size(), 0);
   for (int i = 0; i < kTrials; ++i) {
-    Rng rng(13000 + i);
-    const RunResult result = engine.run(config, rule, model, rng);
+    const RunResult result = engine.run(config, rule, model, 13000 + i);
     ASSERT_GE(result.final_config.ones, offset);
     ++counts[result.final_config.ones - offset];
   }
@@ -217,7 +215,8 @@ TEST(FaultDeterminism, AgentZealotStepMatchesAggregateClosedForm) {
 }
 
 // Convergence-time law under noise agrees between the aggregate faulty path
-// (exact closed form) and the sequential faulty path run to the same quorum.
+// (exact closed form) and the sharded per-agent update path run to the same
+// quorum.
 TEST(FaultDeterminism, AggregateAndAgentNoisyConvergenceLawsAgree) {
   const MinorityDynamics minority(SampleSizePolicy::sqrt_n_log_n());
   EnvironmentModel model;
@@ -228,19 +227,18 @@ TEST(FaultDeterminism, AggregateAndAgentNoisyConvergenceLawsAgree) {
   rule.max_rounds = 5000;
 
   const AggregateParallelEngine aggregate(minority);
-  const MemorylessAsStateful adapter(minority);
-  const AgentParallelEngine agent(adapter);
+  const OpaqueStateful stateful(minority);
+  const ShardedAgentEngine agent(stateful);
 
   const int kTrials = 200;
   std::vector<double> agg_times, agent_times;
   int censored = 0;
   for (int i = 0; i < kTrials; ++i) {
     Rng rng_a(15000 + i);
-    Rng rng_b(16000 + i);
     const RunResult a =
         aggregate.run(init_all_wrong(n, Opinion::kOne), rule, model, rng_a);
-    const RunResult b =
-        agent.run(init_all_wrong(n, Opinion::kOne), rule, model, rng_b);
+    const RunResult b = agent.run(init_all_wrong(n, Opinion::kOne), rule,
+                                  model, 16000 + i);
     if (a.converged()) agg_times.push_back(static_cast<double>(a.rounds()));
     if (b.converged()) agent_times.push_back(static_cast<double>(b.rounds()));
     censored += !a.converged() + !b.converged();

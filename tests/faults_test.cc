@@ -9,12 +9,13 @@
 #include <vector>
 
 #include "core/init.h"
-#include "engine/agent.h"
 #include "engine/aggregate.h"
 #include "engine/sequential.h"
+#include "engine/sharded.h"
 #include "faults/environment.h"
 #include "faults/noisy_protocol.h"
 #include "faults/session.h"
+#include "naive_agent_oracle.h"
 #include "protocols/minority.h"
 #include "protocols/voter.h"
 #include "random/binomial.h"
@@ -333,17 +334,17 @@ TEST(SequentialFaults, FaultyRunMatchesSemantics) {
   EXPECT_EQ(result.recoveries[1].flip_round, 15u);
 }
 
+// AgentFaults.*: the sharded engine's per-agent update path under faults.
 TEST(AgentFaults, FaultyRunMatchesSemantics) {
   const AlwaysOne protocol;
-  const MemorylessAsStateful adapter(protocol);
-  const AgentParallelEngine engine(adapter);
+  const OpaqueStateful stateful(protocol);
+  const ShardedAgentEngine engine(stateful);
   EnvironmentModel model;
   model.source_flip_rounds = {3};
   StopRule rule;
   rule.max_rounds = 10;
-  Rng rng(37);
   const RunResult result =
-      engine.run(init_all_wrong(64, Opinion::kOne), rule, model, rng);
+      engine.run(init_all_wrong(64, Opinion::kOne), rule, model, 37);
   EXPECT_EQ(result.reason, StopReason::kDegraded);
   ASSERT_EQ(result.recoveries.size(), 2u);
   EXPECT_TRUE(result.recoveries[0].recovered);
@@ -353,16 +354,15 @@ TEST(AgentFaults, FaultyRunMatchesSemantics) {
 
 TEST(AgentFaults, ZealotSlotsNeverUpdate) {
   const AlwaysOne protocol;  // Would flip every zealot in one round.
-  const MemorylessAsStateful adapter(protocol);
-  const AgentParallelEngine engine(adapter);
+  const OpaqueStateful stateful(protocol);
+  const ShardedAgentEngine engine(stateful);
   EnvironmentModel model;
   model.zealot_fraction = 0.25;
   StopRule rule;
   rule.max_rounds = 5;
-  Rng rng(41);
   const Configuration start = init_all_wrong(100, Opinion::kOne);
   const FaultSession session(model, start);
-  const RunResult result = engine.run(start, rule, model, rng);
+  const RunResult result = engine.run(start, rule, model, 41);
   // Free agents all adopt kOne immediately; zealots pin kZero forever.
   EXPECT_EQ(result.final_config.ones, 100 - session.zealots());
   // Quorum 1.0 over non-zealots IS met: zealots are excluded.

@@ -454,7 +454,7 @@ def _fake_report(ips_scale=1.0, phase_secs=None, profiles_ipc=None):
         "hardware_concurrency": 1,
         "build": {"type": "release"},
         "benchmarks": [
-            {"name": "agent_serial_step",
+            {"name": "sharded_step_threads1",
              "items_per_second": 4.0e7 * ips_scale},
             {"name": "aggregate_step",
              "items_per_second": 3.0e6 * ips_scale},
