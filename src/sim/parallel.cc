@@ -1,6 +1,8 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
+#include <exception>
+#include <utility>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -12,23 +14,23 @@
 namespace bitspread {
 namespace {
 
-// Set while a thread is executing pool work; nested run() calls from such a
-// thread fall back to inline serial execution instead of deadlocking on the
-// pool they are already occupying.
+// Set while a thread is executing pool items (a helper, or the caller
+// inside run()); nested run() calls from such a thread fall back to inline
+// serial execution instead of deadlocking on the pool they occupy.
 thread_local bool t_inside_pool_worker = false;
+
+// Low bits of the generation word carry the helper count (< kMaxWorkers).
+constexpr unsigned kHelperBits = 8;
+constexpr std::uint64_t kHelperMask = (std::uint64_t{1} << kHelperBits) - 1;
+static_assert(WorkerPool::kMaxWorkers <= kHelperMask);
 
 }  // namespace
 
 double WorkerPoolTelemetry::utilization() const noexcept {
-  if (dispatch_ns == 0 || workers.empty()) return 0.0;
+  if (participant_ns == 0) return 0.0;
   std::uint64_t busy = 0;
   for (const Worker& worker : workers) busy += worker.busy_ns;
-  // Each dispatched generation paid for `active` workers, but summing
-  // per-generation active counts would need per-generation records; the
-  // spawned worker count is the stable upper bound the pool actually holds.
-  const double paid = static_cast<double>(dispatch_ns) *
-                      static_cast<double>(workers.size());
-  return paid > 0.0 ? static_cast<double>(busy) / paid : 0.0;
+  return static_cast<double>(busy) / static_cast<double>(participant_ns);
 }
 
 WorkerPool& WorkerPool::shared() {
@@ -37,26 +39,24 @@ WorkerPool& WorkerPool::shared() {
 }
 
 WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& worker : workers_) worker.join();
+  stop_.store(true, std::memory_order_relaxed);
+  word_.fetch_add(std::uint64_t{1} << kHelperBits, std::memory_order_release);
+  word_.notify_all();
+  for (std::thread& helper : helpers_) helper.join();
 }
 
 unsigned WorkerPool::worker_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<unsigned>(workers_.size());
+  return spawned_.load(std::memory_order_acquire);
 }
 
 WorkerPoolTelemetry WorkerPool::telemetry() const {
   WorkerPoolTelemetry out;
   out.generations = generations_total_.load(std::memory_order_relaxed);
   out.dispatch_ns = dispatch_ns_.load(std::memory_order_relaxed);
-  const unsigned spawned = worker_count();
-  out.workers.resize(spawned);
-  for (unsigned i = 0; i < spawned; ++i) {
+  out.participant_ns = participant_ns_.load(std::memory_order_relaxed);
+  const unsigned slots = 1 + worker_count();
+  out.workers.resize(slots);
+  for (unsigned i = 0; i < slots; ++i) {
     const WorkerStats& stats = worker_stats_[i];
     out.workers[i].busy_ns = stats.busy_ns.load(std::memory_order_relaxed);
     out.workers[i].items = stats.items.load(std::memory_order_relaxed);
@@ -71,6 +71,7 @@ WorkerPoolTelemetry WorkerPool::telemetry() const {
 void WorkerPool::reset_telemetry() {
   generations_total_.store(0, std::memory_order_relaxed);
   dispatch_ns_.store(0, std::memory_order_relaxed);
+  participant_ns_.store(0, std::memory_order_relaxed);
   for (WorkerStats& stats : worker_stats_) {
     stats.busy_ns.store(0, std::memory_order_relaxed);
     stats.wake_ns.store(0, std::memory_order_relaxed);
@@ -79,53 +80,70 @@ void WorkerPool::reset_telemetry() {
   }
 }
 
-void WorkerPool::ensure_workers(unsigned target) {
-  std::lock_guard<std::mutex> lock(mu_);
-  while (workers_.size() < target) {
-    const unsigned slot = static_cast<unsigned>(workers_.size());
-    workers_.emplace_back(
-        [this, slot, spawn_gen = generation_] { worker_main(slot, spawn_gen); });
+void WorkerPool::ensure_helpers(unsigned target) {
+  // Called under run_mu_, between generations: a new helper starts from
+  // the current word and so waits for the generation about to be published.
+  const std::uint64_t word = word_.load(std::memory_order_relaxed);
+  while (helpers_.size() < target) {
+    const unsigned helper = static_cast<unsigned>(helpers_.size());
+    helpers_.emplace_back([this, helper, word] { helper_main(helper, word); });
+  }
+  spawned_.store(static_cast<unsigned>(helpers_.size()),
+                 std::memory_order_release);
+}
+
+void WorkerPool::helper_main(unsigned helper, std::uint64_t seen) {
+  while (true) {
+    // std::atomic::wait spins briefly, then parks in a futex.
+    word_.wait(seen, std::memory_order_acquire);
+    seen = word_.load(std::memory_order_acquire);
+    if (stop_.load(std::memory_order_relaxed)) return;
+    if (helper >= (seen & kHelperMask)) continue;  // Sitting this one out.
+    // The acquire load of `seen` made this generation's payload visible.
+    const std::uint64_t woke_ns = telemetry::clock_now_ns();
+    worker_stats_[1 + helper].wake_ns.fetch_add(woke_ns - gen_start_ns_,
+                                                std::memory_order_relaxed);
+    drain(1 + helper, woke_ns);
+    // Release: this helper's items and stats happen-before the caller's
+    // return from run().
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      pending_.notify_one();
+    }
   }
 }
 
-void WorkerPool::worker_main(unsigned slot, std::uint64_t spawn_generation) {
-  std::uint64_t seen = spawn_generation;
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-    if (stop_) return;
-    seen = generation_;
-    if (slot >= active_) continue;  // Not participating this generation.
-    const std::function<void(int)>* fn = fn_;
-    const int count = count_;
-    const std::uint64_t gen_start_ns = gen_start_ns_;  // Read under mu_.
-    lock.unlock();
-    const std::uint64_t woke_ns = telemetry::clock_now_ns();
-    std::uint64_t my_items = 0;
-    t_inside_pool_worker = true;
-    while (true) {
-      const int i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
-      (*fn)(i);
-      ++my_items;
+void WorkerPool::drain(unsigned slot, std::uint64_t woke_ns) {
+  const std::function<void(int)>& fn = *fn_;
+  const int count = count_;
+  std::uint64_t items = 0;
+  t_inside_pool_worker = true;
+  try {
+    for (int i = next_.fetch_add(1, std::memory_order_relaxed); i < count;
+         i = next_.fetch_add(1, std::memory_order_relaxed)) {
+      fn(i);
+      ++items;
     }
-    t_inside_pool_worker = false;
-    const std::uint64_t busy_end_ns = telemetry::clock_now_ns();
-    // Reuses the two clock reads already taken for busy_ns accounting: an
-    // installed flight recorder costs the pool no extra clock traffic.
-    if (telemetry::TraceRecorder* recorder =
-            telemetry::observers.trace.load(std::memory_order_acquire)) {
-      recorder->span("worker_busy", woke_ns, busy_end_ns);
+  } catch (...) {
+    // The first failure is rethrown by run() after the join; this thread
+    // stops claiming items, the others finish theirs.
+    bool expected = false;
+    if (failed_.compare_exchange_strong(expected, true,
+                                        std::memory_order_relaxed)) {
+      failure_ = std::current_exception();
     }
-    WorkerStats& stats = worker_stats_[slot];
-    stats.busy_ns.fetch_add(busy_end_ns - woke_ns,
-                            std::memory_order_relaxed);
-    stats.wake_ns.fetch_add(woke_ns - gen_start_ns, std::memory_order_relaxed);
-    stats.items.fetch_add(my_items, std::memory_order_relaxed);
-    stats.generations.fetch_add(1, std::memory_order_relaxed);
-    lock.lock();
-    if (--pending_ == 0) done_cv_.notify_all();
   }
+  t_inside_pool_worker = false;
+  const std::uint64_t busy_end_ns = telemetry::clock_now_ns();
+  // Reuses the clock reads already taken for busy_ns accounting: an
+  // installed flight recorder costs the pool no extra clock traffic.
+  if (telemetry::TraceRecorder* recorder =
+          telemetry::observers.trace.load(std::memory_order_acquire)) {
+    recorder->span("worker_busy", woke_ns, busy_end_ns);
+  }
+  WorkerStats& stats = worker_stats_[slot];
+  stats.busy_ns.fetch_add(busy_end_ns - woke_ns, std::memory_order_relaxed);
+  stats.items.fetch_add(items, std::memory_order_relaxed);
+  stats.generations.fetch_add(1, std::memory_order_relaxed);
 }
 
 unsigned host_concurrency() noexcept {
@@ -159,25 +177,34 @@ void WorkerPool::run(int count, const std::function<void(int)>& fn,
   std::lock_guard<std::mutex> run_lock(run_mu_);
   const telemetry::ScopedTimer dispatch_timer(
       telemetry::Phase::kPoolDispatch);
-  ensure_workers(target);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    fn_ = &fn;
-    count_ = count;
-    next_.store(0, std::memory_order_relaxed);
-    active_ = target;
-    pending_ = target;
-    ++generation_;
-    gen_start_ns_ = telemetry::clock_now_ns();
+  const unsigned helpers = target - 1;
+  ensure_helpers(helpers);
+  // The previous generation's helpers are all done (pending_ reached 0),
+  // so nobody reads the payload while it is rewritten.
+  fn_ = &fn;
+  count_ = count;
+  next_.store(0, std::memory_order_relaxed);
+  pending_.store(helpers, std::memory_order_relaxed);
+  gen_start_ns_ = telemetry::clock_now_ns();
+  const std::uint64_t sequence =
+      (word_.load(std::memory_order_relaxed) >> kHelperBits) + 1;
+  word_.store((sequence << kHelperBits) | helpers, std::memory_order_release);
+  word_.notify_all();
+
+  drain(0, telemetry::clock_now_ns());
+  for (unsigned left = pending_.load(std::memory_order_acquire); left != 0;
+       left = pending_.load(std::memory_order_acquire)) {
+    pending_.wait(left, std::memory_order_acquire);
   }
-  work_cv_.notify_all();
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return pending_ == 0; });
   fn_ = nullptr;
-  lock.unlock();
+  const std::uint64_t wall_ns = telemetry::clock_now_ns() - gen_start_ns_;
   generations_total_.fetch_add(1, std::memory_order_relaxed);
-  dispatch_ns_.fetch_add(telemetry::clock_now_ns() - gen_start_ns_,
-                         std::memory_order_relaxed);
+  dispatch_ns_.fetch_add(wall_ns, std::memory_order_relaxed);
+  participant_ns_.fetch_add(wall_ns * target, std::memory_order_relaxed);
+  if (failed_.load(std::memory_order_relaxed)) {
+    failed_.store(false, std::memory_order_relaxed);
+    std::rethrow_exception(std::exchange(failure_, nullptr));
+  }
 }
 
 void parallel_for(int count, const std::function<void(int)>& fn,

@@ -10,9 +10,10 @@
 #ifndef BITSPREAD_SIM_PARALLEL_H_
 #define BITSPREAD_SIM_PARALLEL_H_
 
+#include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -28,26 +29,33 @@ namespace bitspread {
 // gives the happens-before that makes the numbers exact.
 struct WorkerPoolTelemetry {
   std::uint64_t generations = 0;  // Dispatched fan-outs (inline runs excluded).
-  std::uint64_t items = 0;        // Work items executed by pool workers.
+  std::uint64_t items = 0;        // Work items run by the participants.
   std::uint64_t dispatch_ns = 0;  // run() wall time, dispatch through join.
-  std::uint64_t wake_ns = 0;      // Sum of per-worker dispatch->wake latency.
+  std::uint64_t wake_ns = 0;      // Sum of per-helper dispatch->wake latency.
+  // Sum over generations of dispatch wall time x participants (caller
+  // included): the worker-time the dispatched generations paid for.
+  std::uint64_t participant_ns = 0;
 
   struct Worker {
     std::uint64_t busy_ns = 0;      // Time inside the item loop.
     std::uint64_t items = 0;
-    std::uint64_t generations = 0;  // Generations this worker participated in.
+    std::uint64_t generations = 0;  // Generations this slot took part in.
   };
+  // Slot 0 is the calling thread of run(), which steps items too; slot
+  // 1 + h is pool helper h.
   std::vector<Worker> workers;
 
-  // Busy time across workers divided by the total worker-time the dispatched
-  // generations paid for (0 when nothing was dispatched).
+  // Busy time across participants divided by participant_ns (0 when
+  // nothing was dispatched).
   double utilization() const noexcept;
 };
 
-// A persistent pool of worker threads with generation-based dispatch.
-// Threads are created once (lazily, growing on demand up to kMaxWorkers)
+// A persistent pool of helper threads with generation-based dispatch.
+// Threads are created once (lazily, growing on demand up to kMaxWorkers - 1)
 // and parked between runs, so fine-grained work — e.g. one simulation round
 // — can be fanned out every few microseconds without spawn/join cost.
+// The calling thread claims items from the same cursor as the helpers, so
+// a run on k threads wakes k - 1 helpers (DESIGN.md §3.1).
 //
 // Scheduling never influences results anywhere in the library (work items
 // own derived RNG streams), so the pool is a pure wall-clock device.
@@ -57,36 +65,43 @@ class WorkerPool {
   static WorkerPool& shared();
 
   ~WorkerPool();
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
 
   // Runs fn(i) for i in [0, count), blocking until all items finish.
-  // `threads` caps the number of participating workers (0 = hardware
-  // concurrency); oversubscription beyond the hardware is honored up to
-  // kMaxWorkers, which lets determinism tests exercise real interleaving
-  // even on small machines. Calls from inside a pool worker run inline and
-  // serially (no deadlock on nesting). fn must be safe to call concurrently
-  // for distinct i.
+  // `threads` caps the number of participating threads, the caller
+  // included (0 = hardware concurrency); oversubscription beyond the
+  // hardware is honored up to kMaxWorkers, which lets determinism tests
+  // exercise real interleaving even on small machines. Calls from inside a
+  // pool item (on a helper or on the calling thread) run inline and
+  // serially (no deadlock on nesting); concurrent callers are serialized.
+  // fn must be safe to call concurrently for distinct i.
   void run(int count, const std::function<void(int)>& fn,
            unsigned threads = 0);
 
-  // Workers currently parked in the pool (grows on demand; for tests).
+  // Helper threads currently parked in the pool (grows on demand; for
+  // tests).
   unsigned worker_count() const;
 
   // Pool utilization since process start / the last reset. Call between
-  // run() calls; inline-serial and nested executions are not counted (they
-  // never touch pool threads).
+  // run() calls; inline-serial and nested executions are not counted.
   WorkerPoolTelemetry telemetry() const;
   void reset_telemetry();
 
-  // Upper bound on pool size; requests beyond it are clamped.
+  // Upper bound on participating threads (caller + helpers); requests
+  // beyond it are clamped.
   static constexpr unsigned kMaxWorkers = 64;
 
  private:
   WorkerPool() = default;
 
-  void ensure_workers(unsigned target);
-  void worker_main(unsigned slot, std::uint64_t spawn_generation);
+  void ensure_helpers(unsigned target);
+  void helper_main(unsigned helper, std::uint64_t seen);
+  // Claims items from next_ until the cursor passes count_ and records the
+  // busy span in stats slot `slot`.
+  void drain(unsigned slot, std::uint64_t woke_ns);
 
-  // One cache line per worker: each slot is written only by its worker, so
+  // One cache line per slot: each slot is written only by its thread, so
   // recording is uncontended; totals are summed when read.
   struct alignas(64) WorkerStats {
     std::atomic<std::uint64_t> busy_ns{0};
@@ -95,27 +110,35 @@ class WorkerPool {
     std::atomic<std::uint64_t> generations{0};
   };
   // Fixed-capacity so recording never allocates or locks; slots beyond the
-  // spawned workers stay zero.
+  // spawned helpers stay zero.
   std::array<WorkerStats, kMaxWorkers> worker_stats_;
-  // Written only by the dispatching thread (run() callers are serialized).
+  // Written only by the dispatching thread, under run_mu_.
   std::atomic<std::uint64_t> generations_total_{0};
   std::atomic<std::uint64_t> dispatch_ns_{0};
-  std::uint64_t gen_start_ns_ = 0;  // Guarded by mu_.
+  std::atomic<std::uint64_t> participant_ns_{0};
 
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::mutex run_mu_;  // Serializes concurrent run() callers.
-  std::vector<std::thread> workers_;
-
-  // Per-generation payload (guarded by mu_ except the atomic cursor).
+  // Per-generation payload: written by the caller before it publishes the
+  // generation word, read by helpers after they acquire it.
   const std::function<void(int)>* fn_ = nullptr;
-  std::atomic<int> next_{0};
   int count_ = 0;
-  unsigned active_ = 0;   // Workers participating in this generation.
-  unsigned pending_ = 0;  // Participants that have not finished yet.
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
+  std::uint64_t gen_start_ns_ = 0;
+
+  // The generation word: (sequence << 8) | helpers taking part.
+  // Helpers wait on it; the participant count travels in the same word so
+  // a helper that wakes late can never pair one generation's count with
+  // another's payload.
+  alignas(64) std::atomic<std::uint64_t> word_{0};
+  alignas(64) std::atomic<int> next_{0};        // Item cursor.
+  alignas(64) std::atomic<unsigned> pending_{0};  // Helpers not yet done.
+  std::atomic<bool> stop_{false};
+  // First exception an item threw this generation; set by the participant
+  // that wins failed_, read by the caller after the join.
+  std::atomic<bool> failed_{false};
+  std::exception_ptr failure_;
+  std::atomic<unsigned> spawned_{0};  // helpers_.size(), readable unlocked.
+
+  std::mutex run_mu_;  // Serializes run() callers; guards helpers_.
+  std::vector<std::thread> helpers_;
 };
 
 // Runs fn(i) for i in [0, count) across up to max_threads threads
