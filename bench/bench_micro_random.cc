@@ -42,12 +42,23 @@ void BM_Binomial(benchmark::State& state) {
   state.SetLabel("n=" + std::to_string(n) + " p=" + std::to_string(p));
 }
 BENCHMARK(BM_Binomial)
+    ->Args({10, 500})           // BINV: np = 5, one-shot BM_BinomialKept
     ->Args({100, 20})           // BINV: np = 2
     ->Args({100, 300})          // BTRS: np = 30
     ->Args({100, 980})          // complement -> BINV
     ->Args({1000000, 500})      // BTRS, large n
     ->Args({1000000000, 500})   // BTRS, n = 1e9
     ->Args({1000000000, 1});    // BINV via tiny p (np = 1e6 -> BTRS actually)
+
+// A kept sampler in the inversion regime (n * p = 5): the tabulated walk
+// the aggregate and sequential steppers draw from on a revisited state.
+void BM_BinomialKept(benchmark::State& state) {
+  Rng rng(4);
+  const BinomialSampler sampler = BinomialSampler::tabulated(10, 0.5);
+  for (auto _ : state) benchmark::DoNotOptimize(sampler(rng));
+  state.SetLabel("n=10 p=0.5");
+}
+BENCHMARK(BM_BinomialKept);
 
 void BM_BinomialBinvDirect(benchmark::State& state) {
   Rng rng(5);

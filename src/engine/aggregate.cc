@@ -15,23 +15,32 @@ namespace {
 
 // Everything one fault-free round prepares from X_t before its first
 // uniform: the two Eq. 4 draws with their adoption probabilities folded in.
+// A kept plan's samplers are tabulated; step() builds one-shot ones.
 struct AggregatePlan {
   BinomialSampler ones;   // Bin(non-source ones, P_1(x/n)).
   BinomialSampler zeros;  // Bin(non-source zeros, P_0(x/n)).
 };
 
+template <bool kKept>
 AggregatePlan plan_round(const MemorylessProtocol& protocol,
                          const Configuration& config) {
   const double p = config.fraction_ones();
   const double p1 = protocol.aggregate_adoption(Opinion::kOne, p, config.n);
   const double p0 = protocol.aggregate_adoption(Opinion::kZero, p, config.n);
-  return {BinomialSampler(config.non_source_ones(), p1),
-          BinomialSampler(config.non_source_zeros(), p0)};
+  if constexpr (kKept) {
+    return {BinomialSampler::tabulated(config.non_source_ones(), p1),
+            BinomialSampler::tabulated(config.non_source_zeros(), p0)};
+  } else {
+    return {BinomialSampler(config.non_source_ones(), p1),
+            BinomialSampler(config.non_source_zeros(), p0)};
+  }
 }
 
+template <bool kProbed>
 Configuration draw_round(const Configuration& config,
                          const AggregatePlan& plan, Rng& rng) {
-  const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+  const internal::PhaseProbe<kProbed> draw_timer(
+      telemetry::Phase::kSampleDraw);
   const std::uint64_t stay_one = plan.ones(rng);
   const std::uint64_t switch_to_one = plan.zeros(rng);
   Configuration next = config;
@@ -49,10 +58,11 @@ struct AggregateStepper {
   PlanTable<AggregatePlan> plans{};
 
   Configuration& config() noexcept { return state; }
+  template <bool kProbed>
   void step(std::uint64_t /*tick*/) {
-    const AggregatePlan& plan =
-        plans.get(state.ones, [&] { return plan_round(protocol, state); });
-    state = draw_round(state, plan, rng);
+    const AggregatePlan& plan = plans.get(
+        state.ones, [&] { return plan_round<true>(protocol, state); });
+    state = draw_round<kProbed>(state, plan, rng);
     // The aggregate reduction draws (n - z) * l conceptual observation
     // bits per round through two exact binomials.
     samples += (state.n - state.sources) * protocol.sample_size(state.n);
@@ -120,7 +130,7 @@ struct AggregateFaultyStepper {
 Configuration AggregateParallelEngine::step(const Configuration& config,
                                             Rng& rng) const {
   assert(config.valid());
-  return draw_round(config, plan_round(*protocol_, config), rng);
+  return draw_round<true>(config, plan_round<false>(*protocol_, config), rng);
 }
 
 RunResult AggregateParallelEngine::run(Configuration config,

@@ -14,7 +14,13 @@
 //   Configuration& config();        // driver-visible state, kept current
 //   void step(std::uint64_t tick);  // advance one tick of native time
 //
-// plus optional hooks the driver detects at compile time:
+// or, in place of step(), a member template
+//
+//   template <bool kProbed> void step(std::uint64_t tick);
+//
+// which the driver instantiates with its own probe decision (below), so a
+// stepper's inner probes cost nothing on a probe-free run. Optional hooks
+// the driver detects at compile time:
 //
 //   void sync_flip();               // mirror an applied source flip onto
 //                                   // explicit population state
@@ -34,7 +40,12 @@
 // Probes. At run start the driver reads the observer set once. If no probe
 // sink is set (phase, trace recorder, round sink, PMU), it runs
 // drive<false>: the same loop body with every driver-side probe — one
-// ScopedTimer per phase, the round stream — removed at compile time.
+// ScopedTimer per phase, the round stream — removed at compile time, and
+// step<false>() for a stepper that templates its step on the decision.
+//
+// Round boundaries come from a countdown of the ticks left in the current
+// round and a round counter, not from `tick % ticks_per_round` and
+// `tick / ticks_per_round` on every tick.
 //
 // The driver NEVER draws randomness: steppers own their Rng or SeedSequence,
 // so the per-(round, block) stream schedule of the sharded engine — and with
@@ -95,6 +106,12 @@ struct NoProbe {
   explicit NoProbe(telemetry::Phase /*phase*/) noexcept {}
 };
 
+// The phase probe of a loop that decided `kProbed` at run start: drivers and
+// step<kProbed>() steppers time their phases through it.
+template <bool kProbed>
+using PhaseProbe =
+    std::conditional_t<kProbed, telemetry::ScopedTimer, NoProbe>;
+
 }  // namespace internal
 
 // How an engine's native tick relates to parallel rounds and to the time
@@ -102,7 +119,8 @@ struct NoProbe {
 struct TimePolicy {
   TimeUnit unit = TimeUnit::kParallelRounds;
   // Ticks per parallel round: boundaries (flips, churn, recording) land at
-  // tick % ticks_per_round == 0, and the cap is max_rounds * ticks_per_round.
+  // multiples of ticks_per_round, and the cap is max_rounds *
+  // ticks_per_round.
   std::uint64_t ticks_per_round = 1;
   // RunResult::ticks = elapsed driver ticks * units_per_tick.
   std::uint64_t units_per_tick = 1;
@@ -169,12 +187,12 @@ class RunDriver {
                                              const Trajectory* trajectory,
                                              std::uint64_t run_ordinal,
                                              std::uint64_t tick,
-                                             std::uint64_t tpr) {
+                                             std::uint64_t round) {
     snapshot::RunSnapshot snap;
     snap.engine_tag = Stepper::kSnapshotTag;
     snap.run_ordinal = run_ordinal;
     snap.tick = tick;
-    snap.round = tick / tpr;
+    snap.round = round;
     snap.config = stepper.config();
     stepper.capture(snap.stepper);
     if (session != nullptr) {
@@ -195,8 +213,7 @@ class RunDriver {
   RunResult drive(Stepper& stepper, const StopRule& rule,
                   FaultSession* session, Trajectory* trajectory) const {
     using telemetry::Phase;
-    using Probe = std::conditional_t<kProbed, telemetry::ScopedTimer,
-                                     internal::NoProbe>;
+    using Probe = internal::PhaseProbe<kProbed>;
     RunResult result;
     result.unit = policy_.unit;
     result.alpha = policy_.alpha;
@@ -257,32 +274,36 @@ class RunDriver {
                   }) {
       progress_tag = Stepper::kSnapshotTag;
     }
+    // The parallel round `tick` lies in, and the ticks left before the next
+    // boundary: `left == tpr` exactly at a boundary.
+    std::uint64_t round = tick / tpr;
+    std::uint64_t left = tpr - tick % tpr;
     obs::RunProgressScope progress(progress_tag, rule.max_rounds,
                                    stepper.config().n, session != nullptr);
-    progress.on_round(tick / tpr, stepper.config().ones, stepper.config().n,
+    progress.on_round(round, stepper.config().ones, stepper.config().n,
                       session);
 
     while (true) {
+      const bool boundary = left == tpr;
       // Graceful interrupt: only at a parallel-round boundary, and BEFORE
       // the flip check — a flip scheduled for this round is not yet applied,
       // so the resumed process replays it identically. Breaking here (for
       // every stepper, checkpointable or not) lets the caller's recorder and
       // stream scopes unwind and flush instead of dying mid-run.
-      if (tick % tpr == 0 && snapshot::interrupt_requested()) {
+      if (boundary && snapshot::interrupt_requested()) {
         if constexpr (internal::kCheckpointable<Stepper>) {
           if (checkpointer != nullptr) {
             checkpointer->write(make_snapshot(stepper, session, trajectory,
-                                              run_ordinal, tick, tpr));
+                                              run_ordinal, tick, round));
           }
         }
         result.reason = StopReason::kInterrupted;
         break;
       }
       // Source flips land on entry to a parallel round.
-      if (session != nullptr && tick % tpr == 0 &&
-          session->flip_due(tick / tpr)) {
+      if (session != nullptr && boundary && session->flip_due(round)) {
         const Probe probe(Phase::kFaultApply);
-        session->apply_flip(tick / tpr, stepper.config());
+        session->apply_flip(round, stepper.config());
         if constexpr (requires { stepper.sync_flip(); }) {
           stepper.sync_flip();
         }
@@ -312,11 +333,16 @@ class RunDriver {
         // single-threaded steppers; under pool fan-out the workers' kernel
         // sub-phase probes carry the worker-side attribution.
         const Probe probe(Phase::kRoundStep);
-        stepper.step(tick);
+        if constexpr (requires { stepper.template step<kProbed>(tick); }) {
+          stepper.template step<kProbed>(tick);
+        } else {
+          stepper.step(tick);
+        }
       }
       ++tick;
-      if (tick % tpr == 0) {
-        const std::uint64_t round = tick / tpr;
+      if (--left == 0) {
+        left = tpr;
+        ++round;
         if (session != nullptr) {
           const Probe probe(Phase::kFaultApply);
           if constexpr (requires { stepper.end_round(round); }) {
@@ -337,23 +363,25 @@ class RunDriver {
         if constexpr (internal::kCheckpointable<Stepper>) {
           if (checkpointer != nullptr && checkpointer->due(round)) {
             checkpointer->write(make_snapshot(stepper, session, trajectory,
-                                              run_ordinal, tick, tpr));
+                                              run_ordinal, tick, round));
           }
         }
       }
     }
 
     const Configuration& config = stepper.config();
+    // A run cut mid-round is recorded at that round's end: ceil(tick / tpr).
+    const std::uint64_t last_round = left == tpr ? round : round + 1;
     if (trajectory != nullptr) {
-      trajectory->force_record((tick + tpr - 1) / tpr, config.ones);
+      trajectory->force_record(last_round, config.ones);
     }
-    progress.finish((tick + tpr - 1) / tpr, config.ones, config.n, session);
+    progress.finish(last_round, config.ones, config.n, session);
     result.ticks = tick * policy_.units_per_tick;
     result.final_config = config;
     if (session != nullptr) result.recoveries = session->take_recoveries();
     result.telemetry.wall_seconds =
         static_cast<double>(telemetry::clock_now_ns() - start_ns) * 1e-9;
-    result.telemetry.rounds = tick / tpr;
+    result.telemetry.rounds = round;
     if constexpr (requires { stepper.samples_drawn(); }) {
       result.telemetry.samples_drawn = stepper.samples_drawn();
     }

@@ -1,6 +1,8 @@
 #include "engine/sequential.h"
 
 #include <cassert>
+#include <cstddef>
+#include <vector>
 
 #include "engine/plan_table.h"
 #include "engine/run_loop.h"
@@ -12,11 +14,12 @@
 namespace bitspread {
 namespace {
 
-// One activation given the activated agent's sample law Bin(l, X/n),
-// prepared by the caller.
-Configuration activate(const MemorylessProtocol& protocol,
-                       const Configuration& config, std::uint32_t ell,
-                       const BinomialSampler& sample, Rng& rng) {
+// One activation given the activated agent's sample law Bin(l, X/n) and
+// its adoption rule adopt(own, k) = g(own, k), both prepared by the caller.
+template <bool kProbed, typename Adopt>
+Configuration activate(const Configuration& config,
+                       const BinomialSampler& sample, const Adopt& adopt,
+                       Rng& rng) {
   const std::uint64_t non_source = config.n - config.sources;
   assert(non_source > 0);
 
@@ -28,13 +31,13 @@ Configuration activate(const MemorylessProtocol& protocol,
   // Its sample: l u.a.r. draws (with replacement) from ALL agents.
   std::uint32_t ones_seen;
   {
-    const telemetry::ScopedTimer draw_timer(telemetry::Phase::kSampleDraw);
+    const internal::PhaseProbe<kProbed> draw_timer(
+        telemetry::Phase::kSampleDraw);
     ones_seen = static_cast<std::uint32_t>(sample(rng));
   }
 
-  const double adopt_one = protocol.g(own, ones_seen, ell, config.n);
-  const Opinion next =
-      rng.bernoulli(adopt_one) ? Opinion::kOne : Opinion::kZero;
+  const Opinion next = rng.bernoulli(adopt(own, ones_seen)) ? Opinion::kOne
+                                                            : Opinion::kZero;
 
   Configuration result = config;
   if (own != next) {
@@ -43,22 +46,40 @@ Configuration activate(const MemorylessProtocol& protocol,
   return result;
 }
 
+// g_n^[own](k) for own in {0, 1} and k in [0, l], at index own * (l + 1) + k.
+std::vector<double> adoption_table(const MemorylessProtocol& protocol,
+                                   std::uint32_t ell, std::uint64_t n) {
+  std::vector<double> table(2 * (static_cast<std::size_t>(ell) + 1));
+  for (std::uint32_t k = 0; k <= ell; ++k) {
+    table[k] = protocol.g(Opinion::kZero, k, ell, n);
+    table[ell + 1 + k] = protocol.g(Opinion::kOne, k, ell, n);
+  }
+  return table;
+}
+
 // Fault-free stepper: one activation per tick, with the sample law
-// prepared once per visited state.
+// prepared once per visited state and g tabulated once per run.
 struct SequentialStepper {
   const MemorylessProtocol& protocol;
   Rng& rng;
   Configuration state;
-  std::uint32_t ell = 0;
+  std::uint32_t ell = protocol.sample_size(state.n);
+  std::vector<double> g = adoption_table(protocol, ell, state.n);
   std::uint64_t samples = 0;
   PlanTable<BinomialSampler> plans{};
 
   Configuration& config() noexcept { return state; }
+  template <bool kProbed>
   void step(std::uint64_t /*tick*/) {
     const BinomialSampler& sample = plans.get(state.ones, [&] {
-      return BinomialSampler(ell, state.fraction_ones());
+      return BinomialSampler::tabulated(ell, state.fraction_ones());
     });
-    state = activate(protocol, state, ell, sample, rng);
+    state = activate<kProbed>(
+        state, sample,
+        [this](Opinion own, std::uint32_t k) {
+          return g[static_cast<std::size_t>(to_int(own)) * (ell + 1) + k];
+        },
+        rng);
     samples += ell;
   }
   std::uint64_t samples_drawn() const noexcept { return samples; }
@@ -72,6 +93,9 @@ struct SequentialStepper {
     if (saved.rng.size() != 1) return false;
     rng.set_state(saved.rng[0]);
     samples = saved.samples_drawn;
+    // The restored configuration may carry a different n.
+    ell = protocol.sample_size(state.n);
+    g = adoption_table(protocol, ell, state.n);
     plans.clear();
     return true;
   }
@@ -133,14 +157,17 @@ Configuration SequentialEngine::step(const Configuration& config,
                                      Rng& rng) const {
   assert(config.valid());
   const std::uint32_t ell = protocol_->sample_size(config.n);
-  return activate(*protocol_, config, ell,
-                  BinomialSampler(ell, config.fraction_ones()), rng);
+  return activate<true>(
+      config, BinomialSampler(ell, config.fraction_ones()),
+      [&](Opinion own, std::uint32_t k) {
+        return protocol_->g(own, k, ell, config.n);
+      },
+      rng);
 }
 
 RunResult SequentialEngine::run(Configuration config, const StopRule& rule,
                                 Rng& rng, Trajectory* trajectory) const {
-  SequentialStepper stepper{*protocol_, rng, config,
-                            protocol_->sample_size(config.n)};
+  SequentialStepper stepper{*protocol_, rng, config};
   return RunDriver(TimePolicy::activations(config.n))
       .run(stepper, rule, trajectory);
 }

@@ -32,21 +32,6 @@ std::string to_string(TimeUnit unit) {
   return "unknown";
 }
 
-std::optional<StopReason> evaluate_stop(const StopRule& rule,
-                                        const Configuration& config) noexcept {
-  if (rule.interval_lo && config.ones < *rule.interval_lo) {
-    return StopReason::kIntervalExit;
-  }
-  if (rule.interval_hi && config.ones > *rule.interval_hi) {
-    return StopReason::kIntervalExit;
-  }
-  if (config.is_correct_consensus()) return StopReason::kCorrectConsensus;
-  if (rule.stop_on_any_consensus && config.is_consensus()) {
-    return StopReason::kWrongConsensus;
-  }
-  return std::nullopt;
-}
-
 void fold_recovery_telemetry(RunTelemetry& telemetry,
                              const std::vector<RecoverySegment>& recoveries) {
   for (const RecoverySegment& segment : recoveries) {

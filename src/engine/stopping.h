@@ -160,8 +160,21 @@ struct RunResult {
 };
 
 // Evaluates the rule against a configuration; nullopt means keep running.
-std::optional<StopReason> evaluate_stop(const StopRule& rule,
-                                        const Configuration& config) noexcept;
+// Inline: RunDriver evaluates it on every tick.
+inline std::optional<StopReason> evaluate_stop(
+    const StopRule& rule, const Configuration& config) noexcept {
+  if (rule.interval_lo && config.ones < *rule.interval_lo) {
+    return StopReason::kIntervalExit;
+  }
+  if (rule.interval_hi && config.ones > *rule.interval_hi) {
+    return StopReason::kIntervalExit;
+  }
+  if (config.is_correct_consensus()) return StopReason::kCorrectConsensus;
+  if (rule.stop_on_any_consensus && config.is_consensus()) {
+    return StopReason::kWrongConsensus;
+  }
+  return std::nullopt;
+}
 
 // Folds the closed recovery segments into `telemetry` (recovered_segments,
 // recovery_rounds_total). The RunDriver calls this once per faulty run.

@@ -41,6 +41,7 @@ std::size_t ProgressBoard::claim(const char* engine, std::uint64_t max_rounds,
     record.n = n;
     record.start_ns = now_ns;
     record.publish_ns = now_ns;
+    keep_last(i, record);  // Before the publish that makes the slot visible.
     publish(i, record);
     return i;
   }
@@ -52,33 +53,35 @@ std::size_t ProgressBoard::claim(const char* engine, std::uint64_t max_rounds,
 
 void ProgressBoard::store_fields(Slot& s, const ProgressRecord& r,
                                  bool active) noexcept {
-  s.active.store(active, std::memory_order_relaxed);
-  s.faulty.store(r.faulty, std::memory_order_relaxed);
-  s.engine.store(r.engine, std::memory_order_relaxed);
-  s.run_ordinal.store(r.run_ordinal, std::memory_order_relaxed);
-  s.round.store(r.round, std::memory_order_relaxed);
-  s.max_rounds.store(r.max_rounds, std::memory_order_relaxed);
-  s.ones.store(r.ones, std::memory_order_relaxed);
-  s.n.store(r.n, std::memory_order_relaxed);
-  s.rounds_per_sec.store(r.rounds_per_sec, std::memory_order_relaxed);
-  s.drift_per_round.store(r.drift_per_round, std::memory_order_relaxed);
-  s.eta_seconds.store(r.eta_seconds, std::memory_order_relaxed);
-  s.fault_flips.store(r.fault_flips, std::memory_order_relaxed);
-  s.recovery_segments.store(r.recovery_segments, std::memory_order_relaxed);
-  s.checkpoint_slot.store(r.checkpoint_slot, std::memory_order_relaxed);
-  s.start_ns.store(r.start_ns, std::memory_order_relaxed);
-  s.publish_ns.store(r.publish_ns, std::memory_order_relaxed);
+  s.active.store(active, std::memory_order_release);
+  s.faulty.store(r.faulty, std::memory_order_release);
+  s.engine.store(r.engine, std::memory_order_release);
+  s.run_ordinal.store(r.run_ordinal, std::memory_order_release);
+  s.round.store(r.round, std::memory_order_release);
+  s.max_rounds.store(r.max_rounds, std::memory_order_release);
+  s.ones.store(r.ones, std::memory_order_release);
+  s.n.store(r.n, std::memory_order_release);
+  s.rounds_per_sec.store(r.rounds_per_sec, std::memory_order_release);
+  s.drift_per_round.store(r.drift_per_round, std::memory_order_release);
+  s.eta_seconds.store(r.eta_seconds, std::memory_order_release);
+  s.fault_flips.store(r.fault_flips, std::memory_order_release);
+  s.recovery_segments.store(r.recovery_segments, std::memory_order_release);
+  s.checkpoint_slot.store(r.checkpoint_slot, std::memory_order_release);
+  s.start_ns.store(r.start_ns, std::memory_order_release);
+  s.publish_ns.store(r.publish_ns, std::memory_order_release);
 }
 
 void ProgressBoard::publish(std::size_t slot,
                             const ProgressRecord& record) noexcept {
   if (slot >= kSlots) return;
   Slot& s = slots_[slot];
-  // Odd seq marks the write in flight; release on the closing store pairs
-  // with the reader's acquire loads so a stable even seq implies the field
-  // stores between the bumps are visible.
+  // Odd seq marks the write in flight. The field stores are release
+  // stores: a reader whose acquire load sees a new field value therefore
+  // also sees the odd store before it, and its closing seq load cannot
+  // match. The closing release store pairs with the reader's opening
+  // acquire load, so an even seq brings every field of its publish.
   const std::uint32_t seq = s.seq.load(std::memory_order_relaxed);
-  s.seq.store(seq + 1, std::memory_order_release);
+  s.seq.store(seq + 1, std::memory_order_relaxed);
   store_fields(s, record, record.active);
   s.seq.store(seq + 2, std::memory_order_release);
 }
@@ -89,52 +92,83 @@ void ProgressBoard::release(std::size_t slot,
   ProgressRecord final_record = record;
   final_record.active = false;
   publish(slot, final_record);
+  keep_last(slot, final_record);
   finished_.fetch_add(1, std::memory_order_relaxed);
   slots_[slot].busy.store(false, std::memory_order_release);
 }
 
+bool ProgressBoard::read_slot(const Slot& s, ProgressRecord& r) {
+  // 1024 attempts: a real RunProgressScope publishes ~10x/sec, so one
+  // attempt nearly always suffices. A failed attempt yields, so a writer
+  // preempted mid-publish on a loaded host gets the CPU back to finish it
+  // instead of the reader burning every attempt inside one time slice.
+  for (int attempt = 0; attempt < 1024; ++attempt) {
+    const std::uint32_t before = s.seq.load(std::memory_order_acquire);
+    if (before & 1u) {  // Publish in flight; retry.
+      std::this_thread::yield();
+      continue;
+    }
+    r.active = s.active.load(std::memory_order_acquire);
+    r.faulty = s.faulty.load(std::memory_order_acquire);
+    r.engine = s.engine.load(std::memory_order_acquire);
+    r.run_ordinal = s.run_ordinal.load(std::memory_order_acquire);
+    r.round = s.round.load(std::memory_order_acquire);
+    r.max_rounds = s.max_rounds.load(std::memory_order_acquire);
+    r.ones = s.ones.load(std::memory_order_acquire);
+    r.n = s.n.load(std::memory_order_acquire);
+    r.rounds_per_sec = s.rounds_per_sec.load(std::memory_order_acquire);
+    r.drift_per_round = s.drift_per_round.load(std::memory_order_acquire);
+    r.eta_seconds = s.eta_seconds.load(std::memory_order_acquire);
+    r.fault_flips = s.fault_flips.load(std::memory_order_acquire);
+    r.recovery_segments = s.recovery_segments.load(std::memory_order_acquire);
+    r.checkpoint_slot = s.checkpoint_slot.load(std::memory_order_acquire);
+    r.start_ns = s.start_ns.load(std::memory_order_acquire);
+    r.publish_ns = s.publish_ns.load(std::memory_order_acquire);
+    // The acquire field loads keep the closing seq load after them: an
+    // unchanged seq means no publish overlapped the copy.
+    const std::uint32_t after = s.seq.load(std::memory_order_relaxed);
+    if (before == after) return true;
+    std::this_thread::yield();  // Torn: a publish overlapped the copy.
+  }
+  return false;
+}
+
+void ProgressBoard::keep_last(std::size_t slot,
+                              const ProgressRecord& record) const {
+  if (record.publish_ns == 0) return;  // Never published.
+  const std::lock_guard<std::mutex> lock(last_mutex_);
+  ProgressRecord& last = last_[slot];
+  // Never step back: a scrape's copy may predate a claim or final publish
+  // that was kept while the scrape ran.
+  if (last.publish_ns != 0 &&
+      (record.run_ordinal < last.run_ordinal ||
+       (record.run_ordinal == last.run_ordinal &&
+        record.publish_ns < last.publish_ns))) {
+    return;
+  }
+  last = record;
+}
+
+bool ProgressBoard::last_copy(std::size_t slot, ProgressRecord& r) const {
+  const std::lock_guard<std::mutex> lock(last_mutex_);
+  if (last_[slot].publish_ns == 0) return false;
+  r = last_[slot];
+  return true;
+}
+
 std::vector<ProgressRecord> ProgressBoard::read() const {
   std::vector<ProgressRecord> out;
-  for (const Slot& s : slots_) {
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    // A writer descheduled mid-publish on a loaded host can outlast every
+    // attempt: the slot's last consistent copy stands in. A slot with none
+    // (claimed at time 0 and never read consistently) is left out.
     ProgressRecord r;
-    bool consistent = false;
-    // 1024 attempts: a real RunProgressScope publishes ~10x/sec, so one
-    // attempt nearly always suffices. A failed attempt yields, so a writer
-    // preempted mid-publish on a loaded host gets the CPU back to finish it
-    // instead of the reader burning every attempt inside one time slice.
-    for (int attempt = 0; attempt < 1024; ++attempt) {
-      const std::uint32_t before = s.seq.load(std::memory_order_acquire);
-      if (before & 1u) {  // Publish in flight; retry.
-        std::this_thread::yield();
-        continue;
-      }
-      r.active = s.active.load(std::memory_order_relaxed);
-      r.faulty = s.faulty.load(std::memory_order_relaxed);
-      r.engine = s.engine.load(std::memory_order_relaxed);
-      r.run_ordinal = s.run_ordinal.load(std::memory_order_relaxed);
-      r.round = s.round.load(std::memory_order_relaxed);
-      r.max_rounds = s.max_rounds.load(std::memory_order_relaxed);
-      r.ones = s.ones.load(std::memory_order_relaxed);
-      r.n = s.n.load(std::memory_order_relaxed);
-      r.rounds_per_sec = s.rounds_per_sec.load(std::memory_order_relaxed);
-      r.drift_per_round = s.drift_per_round.load(std::memory_order_relaxed);
-      r.eta_seconds = s.eta_seconds.load(std::memory_order_relaxed);
-      r.fault_flips = s.fault_flips.load(std::memory_order_relaxed);
-      r.recovery_segments =
-          s.recovery_segments.load(std::memory_order_relaxed);
-      r.checkpoint_slot = s.checkpoint_slot.load(std::memory_order_relaxed);
-      r.start_ns = s.start_ns.load(std::memory_order_relaxed);
-      r.publish_ns = s.publish_ns.load(std::memory_order_relaxed);
-      const std::uint32_t after = s.seq.load(std::memory_order_acquire);
-      if (before == after) {
-        consistent = true;
-        break;
-      }
-      std::this_thread::yield();  // Torn: a publish overlapped the copy.
+    if (read_slot(slots_[i], r)) {
+      keep_last(i, r);
+    } else if (!last_copy(i, r)) {
+      continue;
     }
-    // A slot whose writer outran every attempt is dropped rather than
-    // reported torn; the next scrape picks it up.
-    if (consistent && r.publish_ns != 0) out.push_back(r);
+    if (r.publish_ns != 0) out.push_back(r);
   }
   std::sort(out.begin(), out.end(),
             [](const ProgressRecord& a, const ProgressRecord& b) {

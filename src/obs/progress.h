@@ -8,30 +8,44 @@
 //
 // Memory model. A textbook seqlock reads/writes a plain struct between two
 // sequence bumps, which is a data race under the C++ model (and under TSan).
-// Every field here is therefore its own relaxed atomic: the odd/even sequence
-// word (acquire/release) still decides whether a read is consistent, and the
-// relaxed field accesses are race-free by construction. The engine tag is an
-// `std::atomic<const char*>` and MUST point at a string literal (or other
-// immortal storage) — readers dereference it after the writer may have moved
-// on.
+// Every field here is therefore its own atomic: the odd/even sequence word
+// still decides whether a read is consistent, and the field accesses are
+// race-free by construction. The field stores are release stores and the
+// field loads acquire loads. Relaxed fields would not be ordered by the
+// sequence accesses: a release store of the odd sequence does not keep the
+// field stores after it below it, and an acquire load of the closing
+// sequence does not keep the field loads before it above it, so a reader
+// could match sequence numbers around a newer field. Standalone fences
+// would do the same job, but ThreadSanitizer does not model them (g++
+// -Wtsan); it checks these per-field orderings, and on x86 they are the
+// same plain moves.
+// The engine tag is an `std::atomic<const char*>` and MUST point at a
+// string literal (or other immortal storage) — readers dereference it after
+// the writer may have moved on.
+//
+// A reader whose every attempt overlaps a publish reports the slot's last
+// consistent copy: the newest of what earlier reads saw and what claim()
+// and release() stamped. Only readers and those two once-per-run calls take
+// the lock that guards the copies; publish() never does.
 //
 // Cost discipline (the --listen acceptance bar):
 //  - No board set: a RunProgressScope is one relaxed pointer load at
 //    construction; on_round() is a null check. Zero atomics in the loop.
 //  - Board set: on_round() is one comparison per round until the
-//    publish stride elapses; a publish is one clock read plus ~16 relaxed
+//    publish stride elapses; a publish is one clock read plus ~16 release
 //    stores. The stride adapts toward ~10 publishes/sec, so a 40 ns
 //    aggregate round and a 100 ms population round both pay ~nothing.
 //
 // Unlike the probe sinks this field is NOT part of RunDriver's probe gate:
 // progress is how an operator watches a probe-free run too, and a dozen
-// relaxed stores per publish window need no switch.
+// field stores per publish window need no switch.
 #ifndef BITSPREAD_OBS_PROGRESS_H_
 #define BITSPREAD_OBS_PROGRESS_H_
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 namespace bitspread {
@@ -85,7 +99,8 @@ class ProgressBoard {
   void release(std::size_t slot, const ProgressRecord& record) noexcept;
 
   // Seqlock-consistent copies of every slot that has ever been published,
-  // ordered by run_ordinal. Never blocks writers.
+  // ordered by run_ordinal. Never blocks publish(); a slot it cannot copy
+  // consistently is reported as its last consistent copy.
   std::vector<ProgressRecord> read() const;
 
   std::uint64_t runs_started() const noexcept {
@@ -118,8 +133,16 @@ class ProgressBoard {
   };
 
   void store_fields(Slot& s, const ProgressRecord& r, bool active) noexcept;
+  // One bounded seqlock copy; false when every attempt was torn.
+  static bool read_slot(const Slot& s, ProgressRecord& r);
+  // Replaces the slot's last consistent copy unless `record` is older.
+  void keep_last(std::size_t slot, const ProgressRecord& record) const;
+  // The slot's last consistent copy; false when it has none.
+  bool last_copy(std::size_t slot, ProgressRecord& r) const;
 
   std::array<Slot, kSlots> slots_;
+  mutable std::mutex last_mutex_;
+  mutable std::array<ProgressRecord, kSlots> last_{};
   std::atomic<std::uint64_t> started_{0};
   std::atomic<std::uint64_t> finished_{0};
 };

@@ -18,13 +18,34 @@ BinomialSampler::BinomialSampler(std::uint64_t n, double p) noexcept : n_(n) {
   }
 }
 
-std::uint64_t BinomialSampler::operator()(Rng& rng) const noexcept {
+BinomialSampler BinomialSampler::tabulated(std::uint64_t n,
+                                           double p) noexcept {
+  BinomialSampler sampler(n, p);
+  if (sampler.regime_ != Regime::kInversion) return sampler;
+  sampler.regime_ = Regime::kTable;
+  // invert()'s terms in its order: r_0 = q^n, then r_x from r_{x-1} for
+  // x <= n while positive.
+  double r = sampler.q_pow_n_;
+  sampler.terms_[0] = r;
+  sampler.terms_len_ = 1;
+  for (std::uint64_t x = 1; x < kTableTerms && x <= n; ++x) {
+    r *= sampler.binv_a_ / static_cast<double>(x) - sampler.odds_;
+    if (r <= 0.0) break;
+    sampler.terms_[sampler.terms_len_++] = r;
+  }
+  return sampler;
+}
+
+std::uint64_t BinomialSampler::draw(Rng& rng) const noexcept {
   std::uint64_t k = 0;
   switch (regime_) {
     case Regime::kZero:
       break;
     case Regime::kInversion:
       k = invert(rng);
+      break;
+    case Regime::kTable:
+      k = walk_table(rng);
       break;
     case Regime::kRejection:
       k = reject(rng);
@@ -63,6 +84,21 @@ std::uint64_t BinomialSampler::invert(Rng& rng) const noexcept {
     }
     if (done) return std::min(x, n_);
   }
+}
+
+// Only a full table can have more of the walk after it: a shorter one ended
+// at x > n or r <= 0.
+std::uint64_t BinomialSampler::walk_past_table(double u) const noexcept {
+  if (terms_len_ < kTableTerms) return kRestart;
+  std::uint64_t x = kTableTerms - 1;
+  double r = terms_[x];
+  while (++x <= n_) {
+    r *= binv_a_ / static_cast<double>(x) - odds_;
+    if (r <= 0.0) break;
+    if (u <= r) return x;
+    u -= r;
+  }
+  return kRestart;
 }
 
 namespace {
@@ -146,7 +182,7 @@ namespace binomial_detail {
 // stays in registers instead of being built in memory and read back.
 [[gnu::flatten]] std::uint64_t binomial(Rng& rng, std::uint64_t n,
                                         double p) noexcept {
-  return BinomialSampler(n, p)(rng);
+  return BinomialSampler(n, p).draw(rng);
 }
 
 double binomial_log_pmf(double n, double k, double p) noexcept {

@@ -15,6 +15,7 @@
 #ifndef BITSPREAD_RANDOM_BINOMIAL_H_
 #define BITSPREAD_RANDOM_BINOMIAL_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -39,24 +40,51 @@ inline constexpr double kInversionThreshold = 10.0;
 // regime choice and the regime's constants (BINV's q^n, odds and (n+1)*odds;
 // BTRS's b, a, c, v_r, alpha and odds). operator() then draws with the same
 // uniforms in the same order, so a kept sampler returns what binomial() would.
+//
+// A sampler kept for many draws is built with tabulated(): in the inversion
+// regime it also stores the walk's pmf terms r_0 ... r_{K-1}, each computed
+// with the recurrence's own expression and operation order. Its draws then
+// make the same `u <= r` / `u -= r` comparisons on the stored terms with no
+// division, continue with the recurrence past K, and restart and break on
+// `r <= 0` as the walk does, so they too are bit-identical to binomial().
 // The aggregate and sequential steppers keep one per visited state.
 class BinomialSampler {
  public:
+  // Stored walk terms: every row with n < kTableTerms is complete.
+  static constexpr std::uint32_t kTableTerms = 24;
+
   BinomialSampler() noexcept = default;  // Bin(0, p): always 0.
   BinomialSampler(std::uint64_t n, double p) noexcept;
 
-  std::uint64_t operator()(Rng& rng) const noexcept;
+  // BinomialSampler(n, p) with the inversion walk tabulated (see above).
+  static BinomialSampler tabulated(std::uint64_t n, double p) noexcept;
+
+  std::uint64_t operator()(Rng& rng) const noexcept {
+    if (regime_ != Regime::kTable) return draw(rng);
+    const std::uint64_t k = walk_table(rng);
+    return flip_ ? n_ - k : k;
+  }
 
  private:
-  // kZero draws nothing: n = 0, p <= 0, or (flipped) p >= 1.
-  enum class Regime : std::uint8_t { kZero, kInversion, kRejection };
+  // kZero draws nothing: n = 0, p <= 0, or (flipped) p >= 1. kTable is
+  // kInversion with the walk's terms stored.
+  enum class Regime : std::uint8_t { kZero, kInversion, kTable, kRejection };
 
   // Set-up of one regime for 0 < p <= 0.5, without the flip.
   void prepare_inversion(double p) noexcept;
   void prepare_rejection(double p) noexcept;
+  // The untabulated draw, flip included.
+  std::uint64_t draw(Rng& rng) const noexcept;
   std::uint64_t invert(Rng& rng) const noexcept;
+  std::uint64_t walk_table(Rng& rng) const noexcept;
+  // The walk from term kTableTerms on with `u` left after the table, or
+  // kRestart when it runs out (or the table already held the whole row).
+  std::uint64_t walk_past_table(double u) const noexcept;
   std::uint64_t reject(Rng& rng) const noexcept;
 
+  static constexpr std::uint64_t kRestart = ~std::uint64_t{0};
+
+  friend std::uint64_t binomial(Rng&, std::uint64_t, double) noexcept;
   friend std::uint64_t binomial_detail::binv(Rng&, std::uint64_t,
                                              double) noexcept;
   friend std::uint64_t binomial_detail::btrs(Rng&, std::uint64_t,
@@ -76,7 +104,24 @@ class BinomialSampler {
   double c_ = 0.0;
   double v_r_ = 0.0;
   double alpha_ = 0.0;
+  // kTable: terms_[x] = r_x for x < terms_len_, the positive terms the walk
+  // visits before its x > n or r <= 0 end; unset past terms_len_.
+  std::uint32_t terms_len_ = 0;
+  std::array<double, kTableTerms> terms_;
 };
+
+// A tabulated draw: the walk of BinomialSampler::invert() over stored terms.
+inline std::uint64_t BinomialSampler::walk_table(Rng& rng) const noexcept {
+  while (true) {
+    double u = rng.next_double();
+    for (std::uint32_t x = 0; x < terms_len_; ++x) {
+      if (u <= terms_[x]) return x;
+      u -= terms_[x];
+    }
+    const std::uint64_t x = walk_past_table(u);
+    if (x != kRestart) return x;
+  }
+}
 
 // log P(Binomial(n, p) = k) through the thread-safe log_gamma, for 0 < p < 1.
 // n and k are integers passed as doubles. The pmf walks (binomial_pmf and the

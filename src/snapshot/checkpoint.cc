@@ -9,14 +9,10 @@ namespace snapshot {
 namespace {
 
 std::atomic<Checkpointer*> g_checkpointer{nullptr};
-std::atomic<bool> g_interrupt{false};
-// sig_atomic_t is the only type the standard guarantees for handlers, but
-// the flag is also read by worker threads, so it is an atomic<bool> and the
-// handler only ever stores (async-signal-safe for lock-free atomics).
 std::atomic<bool> g_handlers_installed{false};
 
 extern "C" void interrupt_handler(int signum) {
-  g_interrupt.store(true, std::memory_order_relaxed);
+  interrupt_flag.store(true, std::memory_order_relaxed);
   // One graceful chance: the next signal of the same kind kills as usual.
   struct sigaction action {};
   action.sa_handler = SIG_DFL;
@@ -162,15 +158,11 @@ Checkpointer* active_checkpointer() noexcept {
 }
 
 void request_interrupt() noexcept {
-  g_interrupt.store(true, std::memory_order_relaxed);
-}
-
-bool interrupt_requested() noexcept {
-  return g_interrupt.load(std::memory_order_relaxed);
+  interrupt_flag.store(true, std::memory_order_relaxed);
 }
 
 void clear_interrupt() noexcept {
-  g_interrupt.store(false, std::memory_order_relaxed);
+  interrupt_flag.store(false, std::memory_order_relaxed);
 }
 
 bool install_interrupt_handlers() noexcept {

@@ -123,9 +123,16 @@ class Checkpointer {
 void install_checkpointer(Checkpointer* checkpointer) noexcept;
 Checkpointer* active_checkpointer() noexcept;
 
-// Graceful-interrupt flag, polled by every RunDriver at round boundaries.
+// Graceful-interrupt flag, polled by every RunDriver at round boundaries
+// (inline: a boundary is every tick of a parallel-round engine). sig_atomic_t
+// is the only type the standard guarantees for handlers, but the flag is
+// also read by worker threads, so it is an atomic<bool> and the handler only
+// ever stores (async-signal-safe for lock-free atomics).
+inline std::atomic<bool> interrupt_flag{false};
 void request_interrupt() noexcept;
-bool interrupt_requested() noexcept;
+inline bool interrupt_requested() noexcept {
+  return interrupt_flag.load(std::memory_order_relaxed);
+}
 void clear_interrupt() noexcept;
 
 // Installs SIGINT/SIGTERM handlers that request_interrupt() (first signal)

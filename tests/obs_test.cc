@@ -650,7 +650,10 @@ TEST_F(LiveServerTest, MetricsScrapeValidatesWhileRunsPublish) {
   // from a writer while scraping repeatedly.
   obs::ProgressBoard board;
   const telemetry::ObserverScope observe({.progress = &board});
-  const std::size_t slot = board.claim("sharded.faulty", 1u << 20, 64, true, 0);
+  // Stamped at a nonzero time, as RunProgressScope's steady-clock claims
+  // are: a claim stamped 0 reads as never published, and the first scrape
+  // can run before the writer thread's first publish.
+  const std::size_t slot = board.claim("sharded.faulty", 1u << 20, 64, true, 1);
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     obs::ProgressRecord record;

@@ -233,12 +233,76 @@ TEST(BinomialSampler, KeptSamplerMatchesOneShotDraws) {
 TEST(BinomialSampler, DrawsMatchPinnedDigests) {
   for (const SamplerCase& c : kSamplerCases) {
     Rng rng(0x5eed + c.n);
+    Rng tabulated_rng(0x5eed + c.n);
+    const BinomialSampler tabulated = BinomialSampler::tabulated(c.n, c.p);
     std::uint64_t digest = 0xcbf29ce484222325ULL;
+    std::uint64_t tabulated_digest = digest;
     for (int i = 0; i < 256; ++i) {
       digest = (digest ^ binomial(rng, c.n, c.p)) * 0x100000001b3ULL;
+      tabulated_digest =
+          (tabulated_digest ^ tabulated(tabulated_rng)) * 0x100000001b3ULL;
     }
     EXPECT_EQ(digest, c.digest) << "n=" << c.n << " p=" << c.p;
+    EXPECT_EQ(tabulated_digest, c.digest)
+        << "tabulated, n=" << c.n << " p=" << c.p;
   }
+}
+
+// The inverse of an odd number modulo 2^64 (Newton: each step doubles the
+// correct low bits, from 3).
+constexpr std::uint64_t inverse_odd(std::uint64_t a) {
+  std::uint64_t x = a;
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+
+// A generator seeded from `seed` whose next output is `first`: xoshiro256**
+// outputs rotl(s[1] * 5, 7) * 9, so s[1] is solved for and the other words
+// are kept.
+Rng rng_emitting(std::uint64_t first, std::uint64_t seed) {
+  auto state = Rng(seed).state();
+  const std::uint64_t rotated = first * inverse_odd(9);
+  state[1] = ((rotated >> 7) | (rotated << 57)) * inverse_odd(5);
+  Rng rng;
+  rng.set_state(state);
+  return rng;
+}
+
+// A tabulated sampler walks stored terms where the plain one recomputes
+// them; both must give the same value from the same uniforms and leave the
+// generator in the same state. n runs past the table (kTableTerms + 8), and
+// the p values cover the p > 1/2 flip, tiny p (a one- or two-term table),
+// p whose third term is subnormal and fourth underflows to 0, and both
+// sides of the regime threshold. Each cell also starts one draw from the
+// largest uniform, 1 - 2^-53, which walks into the row's far tail: past the
+// table where the row is longer, or off its end into a restart.
+TEST(BinomialSampler, TabulatedDrawsMatchRecurrenceWalk) {
+  ASSERT_EQ(rng_emitting(~std::uint64_t{0}, 1)(), ~std::uint64_t{0});
+  const double kProbabilities[] = {0.3,  0.7,    0.2,    0.45,  1e-6,
+                                   1e-160, 1e-200, 0.999, 0.5};
+  const std::uint64_t max_n = BinomialSampler::kTableTerms + 8;
+  bool ran_past_table = false;
+  for (std::uint64_t n = 1; n <= max_n; ++n) {
+    for (const double p : kProbabilities) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " p=" + std::to_string(p));
+      const BinomialSampler tabulated = BinomialSampler::tabulated(n, p);
+      const BinomialSampler walk(n, p);
+      const auto compare = [&](Rng a, int draws) {
+        Rng b = a;
+        for (int i = 0; i < draws; ++i) {
+          const std::uint64_t k = tabulated(a);
+          ASSERT_EQ(k, walk(b)) << "draw " << i;
+          ASSERT_EQ(a.state(), b.state()) << "draw " << i;
+          const std::uint64_t drawn = p > 0.5 ? n - k : k;
+          if (drawn >= BinomialSampler::kTableTerms) ran_past_table = true;
+        }
+      };
+      compare(Rng(0x7ab + n), 300);
+      compare(rng_emitting(~std::uint64_t{0}, n), 4);
+      compare(rng_emitting(0, n), 4);
+    }
+  }
+  EXPECT_TRUE(ran_past_table) << "no draw reached the walk past the table";
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "engine/alpha_sync.h"
 #include "engine/conflicting.h"
 #include "engine/run_loop.h"
+#include "engine/sequential.h"
 #include "engine/stopping.h"
 #include "engine/trajectory.h"
 #include "faults/environment.h"
@@ -18,6 +19,7 @@
 #include "multi/protocols.h"
 #include "population/engine.h"
 #include "population/protocols.h"
+#include "protocols/minority.h"
 #include "protocols/voter.h"
 #include "telemetry/jsonl.h"
 #include "telemetry/telemetry.h"
@@ -291,6 +293,48 @@ TEST(RunLoopTrajectory, PopulationRunRecordsPerParallelRound) {
   EXPECT_EQ(trajectory.points().front().round, 0u);
   EXPECT_EQ(trajectory.back().round, result.rounds());
   EXPECT_EQ(trajectory.back().ones, result.final_config.ones);
+}
+
+// --- The stepper probe gate -----------------------------------------------
+
+// The aggregate and sequential steppers take RunDriver's probe decision as
+// a template argument. Under a phase sink they run the probed loop: the
+// same uniforms, so the same result and trajectory, plus kSampleDraw
+// counts (one per aggregate round, one per activation).
+TEST(RunLoopTelemetry, KeptPlanStepperProbesDoNotPerturbTheRun) {
+  const MinorityDynamics minority(3);
+  const Configuration trap{20, 8, Opinion::kOne};
+  StopRule rule;
+  rule.max_rounds = 4000;
+  const auto run_both = [&](const auto& engine, std::uint64_t seed) {
+    Trajectory plain_path;
+    Rng plain_rng(seed);
+    const RunResult plain = engine.run(trap, rule, plain_rng, &plain_path);
+
+    telemetry::PhaseStats phases;
+    Trajectory probed_path;
+    Rng probed_rng(seed);
+    RunResult probed;
+    {
+      const telemetry::ObserverScope observe({.phases = &phases});
+      probed = engine.run(trap, rule, probed_rng, &probed_path);
+    }
+    EXPECT_EQ(probed.reason, plain.reason);
+    EXPECT_EQ(probed.ticks, plain.ticks);
+    EXPECT_EQ(probed.final_config.ones, plain.final_config.ones);
+    EXPECT_EQ(probed.telemetry.rounds, plain.telemetry.rounds);
+    EXPECT_EQ(probed.telemetry.samples_drawn, plain.telemetry.samples_drawn);
+    EXPECT_EQ(probed_rng.state(), plain_rng.state());
+    ASSERT_EQ(probed_path.size(), plain_path.size());
+    for (std::size_t i = 0; i < plain_path.size(); ++i) {
+      EXPECT_EQ(probed_path.points()[i].round, plain_path.points()[i].round);
+      EXPECT_EQ(probed_path.points()[i].ones, plain_path.points()[i].ones);
+    }
+    EXPECT_EQ(phases.count(telemetry::Phase::kSampleDraw), plain.ticks);
+    EXPECT_EQ(phases.count(telemetry::Phase::kRoundStep), plain.ticks);
+  };
+  run_both(AggregateParallelEngine(minority), 61);
+  run_both(SequentialEngine(minority), 62);
 }
 
 // --- Flight-recorder round streams from the newly migrated engines --------
